@@ -11,9 +11,8 @@ caller-supplied exact solution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .problem import (
     DEFAULT_SAMPLES,
     Coefficient,
     ProblemSpec,
+    RegimeData,
     coefficient_values,
     derive_regime,
 )
@@ -93,7 +93,7 @@ def double_mesh_error(
     spec: ProblemSpec,
     mesh: Mesh,
     mode: str = "bisect",
-    samples: int = DEFAULT_SAMPLES,
+    regime: RegimeData | None = None,
 ) -> tuple[float, Solution, Solution]:
     """Double-mesh estimate: max difference at the coarse nodes.
 
@@ -101,6 +101,8 @@ def double_mesh_error(
     shared with the fine mesh and compared directly.  ``"regenerate"``
     rebuilds a fresh mesh of the same family with twice the intervals and
     compares through linear interpolation; useful for sensitivity studies.
+    The fresh mesh uses ``regime``, derived from ``spec`` with the default
+    sampling when not given.
     """
     if mode not in DOUBLE_MESH_MODES:
         raise ValueError(f"double-mesh mode must be one of {DOUBLE_MESH_MODES}, got {mode!r}")
@@ -110,9 +112,8 @@ def double_mesh_error(
         fine = solve_on_mesh(spec, fine_mesh)
         error = float(np.max(np.abs(coarse.y - fine.y[0::2])))
     else:
-        regime = None
-        if mesh.family is not MeshFamily.UNIFORM:
-            regime = derive_regime(spec, samples)
+        if regime is None and mesh.family is not MeshFamily.UNIFORM:
+            regime = derive_regime(spec, DEFAULT_SAMPLES)
         fine_mesh = build_mesh(mesh.family, regime, 2 * mesh.n, spec.d)
         fine = solve_on_mesh(spec, fine_mesh)
         interpolated = np.interp(mesh.points, fine_mesh.points, fine.y)
@@ -133,13 +134,6 @@ def _sweep_spec(spec: ProblemSpec, param: str, value: float) -> ProblemSpec:
     raise ValueError(f"sweep parameter must be 'mu' or 'epsilon', got {param!r}")
 
 
-def _run_cells(jobs: Sequence[Callable[[], float]], workers: int) -> list[float]:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
 def convergence_table(
     spec: ProblemSpec,
     sweep_param: str,
@@ -148,30 +142,25 @@ def convergence_table(
     family: MeshFamily = MeshFamily.SHISHKIN_BAKHVALOV,
     mode: str = "bisect",
     samples: int = DEFAULT_SAMPLES,
-    workers: int = 1,
 ) -> ConvergenceTable:
     """Fill the error/order grid for one mesh family.
 
-    Cell failures are recorded as NaN and the sweep continues.  Cells may
-    be evaluated concurrently (``workers``); placement is deterministic.
+    Cell failures are recorded as NaN and the sweep continues.
     """
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     specs = [_sweep_spec(spec, sweep_param, value) for value in sweep_values]
     regimes = [derive_regime(s, samples) for s in specs]
 
-    def cell(row_spec: ProblemSpec, regime, n: int) -> Callable[[], float]:
-        def run() -> float:
-            try:
-                mesh = build_mesh(family, regime, n, row_spec.d)
-                error, _, _ = double_mesh_error(row_spec, mesh, mode, samples)
-                return error
-            except _CELL_ERRORS:
-                return math.nan
-        return run
+    def cell(row_spec: ProblemSpec, regime: RegimeData, n: int) -> float:
+        try:
+            mesh = build_mesh(family, regime, n, row_spec.d)
+            error, _, _ = double_mesh_error(row_spec, mesh, mode, regime)
+            return error
+        except _CELL_ERRORS:
+            return math.nan
 
-    jobs = [cell(s, regime, n) for s, regime in zip(specs, regimes) for n in n_values]
-    flat = _run_cells(jobs, workers)
+    flat = [cell(s, regime, n) for s, regime in zip(specs, regimes) for n in n_values]
     errors = np.array(flat).reshape(len(sweep_values), len(n_values))
     return ConvergenceTable(
         sweep_param=sweep_param,
@@ -190,16 +179,15 @@ def compare_meshes(
     n_values: Sequence[int],
     mode: str = "bisect",
     samples: int = DEFAULT_SAMPLES,
-    workers: int = 1,
 ) -> MeshComparison:
     """Run the same sweep on both layer-adapted families."""
     shishkin = convergence_table(
         spec, sweep_param, sweep_values, n_values,
-        family=MeshFamily.SHISHKIN, mode=mode, samples=samples, workers=workers,
+        family=MeshFamily.SHISHKIN, mode=mode, samples=samples,
     )
     graded = convergence_table(
         spec, sweep_param, sweep_values, n_values,
-        family=MeshFamily.SHISHKIN_BAKHVALOV, mode=mode, samples=samples, workers=workers,
+        family=MeshFamily.SHISHKIN_BAKHVALOV, mode=mode, samples=samples,
     )
     return MeshComparison(shishkin=shishkin, shishkin_bakhvalov=graded)
 
@@ -232,7 +220,6 @@ def manufactured_convergence(
     n_values: Sequence[int],
     family: MeshFamily = MeshFamily.SHISHKIN_BAKHVALOV,
     samples: int = DEFAULT_SAMPLES,
-    workers: int = 1,
 ) -> ConvergenceTable:
     """True-error convergence against a caller-supplied exact solution.
 
@@ -251,19 +238,16 @@ def manufactured_convergence(
     )
     regime = derive_regime(forced, samples)
 
-    def cell(n: int) -> Callable[[], float]:
-        def run() -> float:
-            try:
-                mesh = build_mesh(family, regime, n, forced.d)
-                solution = solve_on_mesh(forced, mesh)
-                exact_nodes = coefficient_values(exact, mesh.points, "exact")
-                return float(np.max(np.abs(solution.y - exact_nodes)))
-            except _CELL_ERRORS:
-                return math.nan
-        return run
+    def cell(n: int) -> float:
+        try:
+            mesh = build_mesh(family, regime, n, forced.d)
+            solution = solve_on_mesh(forced, mesh)
+            exact_nodes = coefficient_values(exact, mesh.points, "exact")
+            return float(np.max(np.abs(solution.y - exact_nodes)))
+        except _CELL_ERRORS:
+            return math.nan
 
-    flat = _run_cells([cell(n) for n in n_values], workers)
-    errors = np.array(flat).reshape(1, len(n_values))
+    errors = np.array([[cell(n) for n in n_values]])
     return ConvergenceTable(
         sweep_param="mu",
         sweep_values=(spec.mu,),

@@ -49,6 +49,12 @@ _DEFAULT_OUTPUT = {
 }
 
 
+# rows of a solution CSV formatted from one pair of float lists; at n = 2^20,
+# whole-array lists interleave a million floats with the line strings and
+# leave the process ~10 MB larger after the floats are freed
+_CSV_CHUNK = 4096
+
+
 class CLIError(Exception):
     """Configuration problem reported with exit status 2."""
 
@@ -67,7 +73,6 @@ class RunConfig:
     markers: bool
     double_mesh: str  # bisect | regenerate
     samples: int
-    workers: int
     exact: tuple | None  # (y, y', y'') expressions for manufactured runs
 
 
@@ -149,17 +154,6 @@ def _load_spec(source: str, epsilon: float, mu: float) -> ProblemSpec:
     except (json.JSONDecodeError, ExpressionSyntaxError, ValueError, OSError) as err:
         raise CLIError(f"--problem: failed to load {source!r}: {err}") from err
     return replace(spec, epsilon=epsilon, mu=mu)
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("SPLAYER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise CLIError(f"SPLAYER_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,7 +293,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         markers=markers,
         double_mesh=double_mesh,
         samples=args.samples,
-        workers=_workers_from_env(),
         exact=exact,
     )
 
@@ -316,10 +309,16 @@ def _run_solve(config: RunConfig) -> None:
     mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
     solution = analysis.solve_on_mesh(config.spec, mesh)
     lines = ["i,x,Y"]
-    lines += [
-        f"{i},{float(x)!r},{float(y)!r}"
-        for i, (x, y) in enumerate(zip(mesh.points, solution.y))
-    ]
+    for start in range(0, mesh.n + 1, _CSV_CHUNK):
+        stop = start + _CSV_CHUNK
+        lines += [
+            f"{i},{x!r},{y!r}"
+            for i, x, y in zip(
+                range(start, stop),
+                mesh.points[start:stop].tolist(),
+                solution.y[start:stop].tolist(),
+            )
+        ]
     write_atomic(config.output, "\n".join(lines) + "\n")
     if config.plot:
         svg = polyline_plot(
@@ -342,7 +341,6 @@ def _run_converge(config: RunConfig) -> None:
         family=config.family,
         mode=config.double_mesh,
         samples=config.samples,
-        workers=config.workers,
     )
     text = analysis.table_to_markdown(table) if config.fmt == "md" else analysis.table_to_csv(table)
     write_atomic(config.output, text)
@@ -356,7 +354,6 @@ def _run_compare(config: RunConfig) -> None:
         config.n_values,
         mode=config.double_mesh,
         samples=config.samples,
-        workers=config.workers,
     )
     text = (
         analysis.comparison_to_markdown(comparison)
@@ -370,11 +367,10 @@ def _run_mesh(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
     mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
     regions = node_regions(mesh)
-    steps = mesh.steps()
     lines = ["i,x_i,h_i,region"]
-    for i, x in enumerate(mesh.points):
-        h = "" if i == 0 else repr(float(steps[i - 1]))
-        lines.append(f"{i},{float(x)!r},{h},{regions[i]}")
+    steps = [""] + [repr(h) for h in mesh.steps().tolist()]
+    for i, (x, h, region) in enumerate(zip(mesh.points.tolist(), steps, regions)):
+        lines.append(f"{i},{x!r},{h},{region}")
     write_atomic(config.output, "\n".join(lines) + "\n")
 
 
@@ -388,7 +384,6 @@ def _run_manufactured(config: RunConfig) -> None:
         config.n_values,
         family=config.family,
         samples=config.samples,
-        workers=config.workers,
     )
     text = analysis.table_to_markdown(table) if config.fmt == "md" else analysis.table_to_csv(table)
     write_atomic(config.output, text)

@@ -22,6 +22,9 @@ __all__ = ["Solution", "PivotError", "solve_thomas", "solve_dense_oracle"]
 
 DENSE_ORACLE_MAX_N = 1024
 
+# rows of the elimination converted to Python floats at a time
+_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class Solution:
@@ -62,29 +65,52 @@ def _rowwise_residual(system: TridiagonalSystem, y: np.ndarray) -> float:
 
 
 def solve_thomas(system: TridiagonalSystem) -> Solution:
-    """Forward elimination and back substitution in O(n) time and space."""
+    """Forward elimination and back substitution in O(n) time and space.
+
+    The recurrence runs on Python floats, ``_BLOCK`` rows at a time: the
+    same IEEE double operations in the same order as elementwise float64
+    elimination, so the result is bitwise equal to it, without boxing a
+    numpy scalar per element.  Blocks bound the memory held in lists.
+    """
     n = system.n
     lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
     pivot_floor = sys.float_info.min  # subnormal pivots are breakdowns too
 
     c = np.empty(n + 1)  # modified upper diagonal
     g = np.empty(n + 1)  # modified right-hand side
-    pivot = diag[0]
+    pivot = float(diag[0])
     if abs(pivot) < pivot_floor:
-        raise PivotError(0, float(pivot))
-    c[0] = upper[0] / pivot
-    g[0] = rhs[0] / pivot
-    for i in range(1, n + 1):
-        pivot = diag[i] - lower[i] * c[i - 1]
-        if abs(pivot) < pivot_floor:
-            raise PivotError(i, float(pivot))
-        c[i] = upper[i] / pivot
-        g[i] = (rhs[i] - lower[i] * g[i - 1]) / pivot
+        raise PivotError(0, pivot)
+    c[0] = c_prev = float(upper[0]) / pivot
+    g[0] = g_prev = float(rhs[0]) / pivot
+    for start in range(1, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        c_block, g_block = [], []
+        for l, d, u, r in zip(
+            lower[start:stop].tolist(),
+            diag[start:stop].tolist(),
+            upper[start:stop].tolist(),
+            rhs[start:stop].tolist(),
+        ):
+            pivot = d - l * c_prev
+            if abs(pivot) < pivot_floor:
+                raise PivotError(start + len(c_block), pivot)
+            c_prev = u / pivot
+            g_prev = (r - l * g_prev) / pivot
+            c_block.append(c_prev)
+            g_block.append(g_prev)
+        c[start:stop] = c_block
+        g[start:stop] = g_block
 
     y = np.empty(n + 1)
-    y[n] = g[n]
-    for i in range(n - 1, -1, -1):
-        y[i] = g[i] - c[i] * y[i + 1]
+    y[n] = y_next = g_prev
+    for stop in range(n, 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        y_block = []
+        for c_i, g_i in zip(c[start:stop][::-1].tolist(), g[start:stop][::-1].tolist()):
+            y_next = g_i - c_i * y_next
+            y_block.append(y_next)
+        y[start:stop] = y_block[::-1]
     return Solution(y, _rowwise_residual(system, y))
 
 

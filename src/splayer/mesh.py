@@ -67,8 +67,17 @@ class Mesh:
             raise ValueError(f"d_index must be n/2 = {self.n // 2}, got {self.d_index}")
         if points[0] != 0.0 or points[-1] != 1.0:
             raise ValueError("mesh must span [0, 1] exactly")
-        if not np.all(np.diff(points) > 0.0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        increasing = np.diff(points) > 0.0
+        if not np.all(increasing):
+            k = int(np.argmin(increasing)) + 1
+            x = float(points[k - 1])
+            raise ValueError(
+                f"mesh nodes must be strictly increasing: {self.family.value} mesh, "
+                f"n = {self.n}, x_{k} = {float(points[k])!r} does not exceed "
+                f"x_{k - 1} = {x!r}, where the float spacing is {float(np.spacing(x))!r}; "
+                f"transition widths sigma = {self.sigma} (a layer thinner than the "
+                "float spacing cannot be meshed)"
+            )
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
 

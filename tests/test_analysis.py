@@ -87,10 +87,10 @@ def test_cell_failure_recorded_as_missing(monkeypatch):
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
     real = analysis.double_mesh_error
 
-    def flaky(spec_, mesh, mode="bisect", samples=10_000):
+    def flaky(spec_, mesh, mode="bisect", regime=None):
         if mesh.n == 128:
             raise ValueError("synthetic cell failure")
-        return real(spec_, mesh, mode, samples)
+        return real(spec_, mesh, mode, regime)
 
     monkeypatch.setattr(analysis, "double_mesh_error", flaky)
     table = convergence_table(spec, "mu", [1e-10], [64, 128, 256], samples=400)
@@ -98,13 +98,6 @@ def test_cell_failure_recorded_as_missing(monkeypatch):
     assert not math.isnan(table.errors[0, 0])
     assert not math.isnan(table.errors[0, 2])
     assert math.isnan(table.orders[0, 0]) and math.isnan(table.orders[0, 1])
-
-
-def test_workers_do_not_change_results():
-    spec = builtin_example("ex1", epsilon=1e-8, mu=1e-8)
-    serial = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 128], samples=400)
-    parallel = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 128], samples=400, workers=4)
-    assert np.array_equal(serial.errors, parallel.errors)
 
 
 def test_compare_meshes_pairs_families():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from splayer.cli import main
@@ -183,15 +184,13 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_is_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPLAYER_THREADS", "4")
-    args = ["converge", "--problem", "ex1", "--epsilon", "1e-8",
-            "--mu-range", "1e-8:1e-9", "--n", "64:128"]
-    assert run(args, tmp_path) == 0
-    parallel = (tmp_path / "convergence.csv").read_bytes()
-    monkeypatch.delenv("SPLAYER_THREADS")
-    assert run(args, tmp_path) == 0
-    assert (tmp_path / "convergence.csv").read_bytes() == parallel
 
-    monkeypatch.setenv("SPLAYER_THREADS", "zebra")
-    assert run(args, tmp_path) == 2
+def test_layer_below_float_spacing_names_the_cause(tmp_path, capsys):
+    # the interface layer width (~3e-19) is below the spacing of floats at d = 0.5
+    assert run(["solve", "--problem", "ex1", "--epsilon", "1e-24",
+                "--mu", "1e-4", "--n", "2048"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "mesh nodes must be strictly increasing" in err
+    assert "n = 2048" in err
+    assert f"float spacing is {float(np.spacing(0.5))!r}" in err
+    assert not (tmp_path / "solution.csv").exists()

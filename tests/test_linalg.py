@@ -1,10 +1,13 @@
 """Thomas solver against the dense oracle, residuals, pivot failures."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from splayer import (
     PivotError,
+    Solution,
     TridiagonalSystem,
     assemble,
     builtin_example,
@@ -13,6 +16,41 @@ from splayer import (
     solve_dense_oracle,
     solve_thomas,
 )
+from splayer.linalg import _BLOCK, _rowwise_residual
+
+
+def _reference_thomas(system):
+    """Elementwise float64 elimination on numpy scalars, one row at a time."""
+    n = system.n
+    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
+    pivot_floor = sys.float_info.min
+
+    c = np.empty(n + 1)
+    g = np.empty(n + 1)
+    pivot = diag[0]
+    if abs(pivot) < pivot_floor:
+        raise PivotError(0, float(pivot))
+    c[0] = upper[0] / pivot
+    g[0] = rhs[0] / pivot
+    for i in range(1, n + 1):
+        pivot = diag[i] - lower[i] * c[i - 1]
+        if abs(pivot) < pivot_floor:
+            raise PivotError(i, float(pivot))
+        c[i] = upper[i] / pivot
+        g[i] = (rhs[i] - lower[i] * g[i - 1]) / pivot
+
+    y = np.empty(n + 1)
+    y[n] = g[n]
+    for i in range(n - 1, -1, -1):
+        y[i] = g[i] - c[i] * y[i + 1]
+    return Solution(y, _rowwise_residual(system, y))
+
+
+def _assert_bitwise_equal_to_reference(system):
+    solution = solve_thomas(system)
+    reference = _reference_thomas(system)
+    assert solution.y.tobytes() == reference.y.tobytes()
+    assert solution.residual_inf == reference.residual_inf
 
 
 def _random_dominant_system(rng, n):
@@ -75,6 +113,66 @@ def test_zero_pivot_names_row():
     with pytest.raises(PivotError) as err:
         solve_thomas(system)
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_blocked_loop_is_bitwise_equal_on_random_systems(n):
+    rng = np.random.default_rng(n)
+    _assert_bitwise_equal_to_reference(_random_dominant_system(rng, n))
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+@pytest.mark.parametrize("mu", [1e-4, 1e-17])
+def test_blocked_loop_is_bitwise_equal_on_assembled_systems(example, mu):
+    spec = builtin_example(example, epsilon=1e-8, mu=mu)
+    regime = derive_regime(spec, samples=200)
+    # SB meshes need n divisible by 8: straddle the block from both sides
+    base = _BLOCK // 8 * 8
+    for n in (base - 8, base, base + 8, 3 * base + 8):
+        mesh = shishkin_bakhvalov_mesh(regime, n, spec.d)
+        _assert_bitwise_equal_to_reference(assemble(spec, mesh))
+
+
+def _coupled_system(n):
+    lower = np.full(n + 1, -1.0)
+    upper = np.full(n + 1, -1.0)
+    lower[0] = upper[n] = 0.0
+    diag = np.full(n + 1, 2.5)
+    return lower, diag, upper, np.ones(n + 1)
+
+
+def _pivot_error(solve, system):
+    with pytest.raises(PivotError) as err:
+        solve(system)
+    return err.value.row, err.value.value
+
+
+@pytest.mark.parametrize("row", [_BLOCK, _BLOCK + 1])
+def test_zero_pivot_across_block_boundary(row):
+    n = 2 * _BLOCK + 3
+    lower, diag, upper, rhs = _coupled_system(n)
+    # the modified upper diagonal at row - 1 is the reference's c[row - 1]
+    c = np.empty(row)
+    c[0] = upper[0] / diag[0]
+    for i in range(1, row):
+        c[i] = upper[i] / (diag[i] - lower[i] * c[i - 1])
+    diag[row] = lower[row] * c[row - 1]  # pivot cancels exactly
+    system = TridiagonalSystem(lower, diag, upper, rhs, n)
+    assert _pivot_error(solve_thomas, system) == (row, 0.0) == _pivot_error(
+        _reference_thomas, system
+    )
+
+
+def test_subnormal_pivot_names_row_and_value():
+    n = 2 * _BLOCK + 3
+    row = _BLOCK + 1
+    lower, diag, upper, rhs = _coupled_system(n)
+    lower[row] = 0.0
+    diag[row] = 1e-310
+    system = TridiagonalSystem(lower, diag, upper, rhs, n)
+    assert _pivot_error(solve_thomas, system) == (row, 1e-310) == _pivot_error(
+        _reference_thomas, system
+    )
 
 
 def test_dense_oracle_rejects_singular():

@@ -183,6 +183,9 @@ def test_mesh_constructor_rejects_disorder():
         Mesh(np.array([0.0, 0.6, 0.5, 1.0]), 3, 1, MeshFamily.UNIFORM, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         Mesh(np.array([0.0, 0.5, 0.5, 1.0]), 3, 1, MeshFamily.UNIFORM, (0, 0, 0, 0))
+    # even n, so the ordering check itself is reached and names the collision
+    with pytest.raises(ValueError, match=r"uniform mesh, n = 4, x_3 = 0\.5 does not exceed x_2"):
+        Mesh(np.array([0.0, 0.3, 0.5, 0.5, 1.0]), 4, 2, MeshFamily.UNIFORM, (0, 0, 0, 0))
 
 
 def test_node_regions_labels():
