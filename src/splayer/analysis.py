@@ -10,9 +10,11 @@ caller-supplied exact solution.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .scheme import assemble
 
 __all__ = [
     "DOUBLE_MESH_MODES",
+    "SweepCellWarning",
     "ConvergenceTable",
     "MeshComparison",
     "solve_on_mesh",
@@ -47,6 +50,14 @@ DOUBLE_MESH_MODES = ("bisect", "regenerate")
 
 # failures that mark a sweep cell as missing instead of aborting the run
 _CELL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+class SweepCellWarning(UserWarning):
+    """A sweep cell failed and was recorded as missing (NaN).
+
+    The message names the mesh family, the swept parameter and its value,
+    N, and the exception that ended the cell; the sweep itself continues.
+    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,21 +120,70 @@ def double_mesh_error(
     coarse = solve_on_mesh(spec, mesh)
     if mode == "bisect":
         fine_mesh = refine_double(mesh)
-        fine = solve_on_mesh(spec, fine_mesh)
-        error = float(np.max(np.abs(coarse.y - fine.y[0::2])))
     else:
         if regime is None and mesh.family is not MeshFamily.UNIFORM:
             regime = derive_regime(spec, DEFAULT_SAMPLES)
         fine_mesh = build_mesh(mesh.family, regime, 2 * mesh.n, spec.d)
-        fine = solve_on_mesh(spec, fine_mesh)
-        interpolated = np.interp(mesh.points, fine_mesh.points, fine.y)
-        error = float(np.max(np.abs(coarse.y - interpolated)))
-    return error, coarse, fine
+    fine = solve_on_mesh(spec, fine_mesh)
+    return _max_difference(mesh, coarse, fine_mesh, fine, mode), coarse, fine
+
+
+def _max_difference(
+    mesh: Mesh, coarse: Solution, fine_mesh: Mesh, fine: Solution, mode: str
+) -> float:
+    if mode == "bisect":
+        matched = fine.y[0::2]
+    else:
+        matched = np.interp(mesh.points, fine_mesh.points, fine.y)
+    return float(np.max(np.abs(coarse.y - matched)))
+
+
+def _regenerate_row(
+    spec: ProblemSpec,
+    regime: RegimeData,
+    family: MeshFamily,
+    n_values: tuple[int, ...],
+    failed: Callable[[int, Exception], None],
+) -> list[float]:
+    """Regenerate-mode errors along one sweep row, in ``n_values`` order.
+
+    The fine solve at 2N is kept, and a following cell at that N takes it
+    as its coarse solve.  Meshing, assembly and the solve are deterministic,
+    so every error equals ``double_mesh_error`` cell by cell.  A solve that
+    raises is not kept; the next cell recomputes it and fails the same way.
+    """
+    errors = []
+    kept = None  # (n, mesh, solution) of the last fine solve
+    for n in n_values:
+        reused, kept = kept, None
+        try:
+            if reused is not None and reused[0] == n:
+                _, mesh, coarse = reused
+            else:
+                mesh = build_mesh(family, regime, n, spec.d)
+                coarse = solve_on_mesh(spec, mesh)
+            fine_mesh = build_mesh(family, regime, 2 * n, spec.d)
+            fine = solve_on_mesh(spec, fine_mesh)
+            kept = (2 * n, fine_mesh, fine)
+            errors.append(_max_difference(mesh, coarse, fine_mesh, fine, "regenerate"))
+        except _CELL_ERRORS as err:
+            failed(n, err)
+            errors.append(math.nan)
+    return errors
 
 
 def _orders_from_errors(errors: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.log2(errors[:, :-1] / errors[:, 1:])
+
+
+def _warn_cell(family: MeshFamily, param: str, value: float, n: int, err: Exception) -> None:
+    warnings.warn(
+        f"{family.value} sweep cell {param} = {value!r}, N = {n} left empty: "
+        f"{type(err).__name__}: {err}",
+        SweepCellWarning,
+        stacklevel=2,
+    )
 
 
 def _sweep_spec(spec: ProblemSpec, param: str, value: float) -> ProblemSpec:
@@ -145,22 +205,29 @@ def convergence_table(
 ) -> ConvergenceTable:
     """Fill the error/order grid for one mesh family.
 
-    Cell failures are recorded as NaN and the sweep continues.
+    Cell failures are recorded as NaN, each named by a
+    :class:`SweepCellWarning`, and the sweep continues.  In regenerate mode
+    a cell's fine solve is reused as the coarse solve of the next cell when
+    that cell's N doubles the previous one.
     """
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     specs = [_sweep_spec(spec, sweep_param, value) for value in sweep_values]
     regimes = [derive_regime(s, samples) for s in specs]
-
-    def cell(row_spec: ProblemSpec, regime: RegimeData, n: int) -> float:
-        try:
-            mesh = build_mesh(family, regime, n, row_spec.d)
-            error, _, _ = double_mesh_error(row_spec, mesh, mode, regime)
-            return error
-        except _CELL_ERRORS:
-            return math.nan
-
-    flat = [cell(s, regime, n) for s, regime in zip(specs, regimes) for n in n_values]
+    flat = []
+    for value, row_spec, regime in zip(sweep_values, specs, regimes):
+        failed = functools.partial(_warn_cell, family, sweep_param, value)
+        if mode == "regenerate":
+            flat += _regenerate_row(row_spec, regime, family, n_values, failed)
+            continue
+        for n in n_values:
+            try:
+                mesh = build_mesh(family, regime, n, row_spec.d)
+                error, _, _ = double_mesh_error(row_spec, mesh, mode, regime)
+            except _CELL_ERRORS as err:
+                failed(n, err)
+                error = math.nan
+            flat.append(error)
     errors = np.array(flat).reshape(len(sweep_values), len(n_values))
     return ConvergenceTable(
         sweep_param=sweep_param,
@@ -244,7 +311,8 @@ def manufactured_convergence(
             solution = solve_on_mesh(forced, mesh)
             exact_nodes = coefficient_values(exact, mesh.points, "exact")
             return float(np.max(np.abs(solution.y - exact_nodes)))
-        except _CELL_ERRORS:
+        except _CELL_ERRORS as err:
+            _warn_cell(family, "mu", spec.mu, n, err)
             return math.nan
 
     errors = np.array([[cell(n) for n in n_values]])

@@ -15,13 +15,14 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import analysis
 from .expressions import EvaluationError, ExpressionSyntaxError, parse
 from .linalg import PivotError
-from .mesh import MeshFamily, build_mesh, node_regions
+from .mesh import Mesh, MeshFamily, build_mesh, node_regions
 from .problem import (
     DEFAULT_SAMPLES,
     ProblemSpec,
@@ -49,9 +50,9 @@ _DEFAULT_OUTPUT = {
 }
 
 
-# rows of a solution CSV formatted from one pair of float lists; at n = 2^20,
-# whole-array lists interleave a million floats with the line strings and
-# leave the process ~10 MB larger after the floats are freed
+# rows of a solve or mesh CSV formatted and written as one chunk; at
+# n = 2^20, whole-array float lists and one joined string would hold
+# ~100 MB more at the peak than the chunks do
 _CSV_CHUNK = 4096
 
 
@@ -76,8 +77,12 @@ class RunConfig:
     exact: tuple | None  # (y, y', y'') expressions for manufactured runs
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write via a temp file in the same directory, then rename.
+
+    ``text`` is one string or an iterable of string chunks, written in
+    order; the target is replaced only once every chunk is written.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -85,7 +90,10 @@ def write_atomic(path: Path, text: str) -> None:
     )
     try:
         with handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)
@@ -304,22 +312,39 @@ def _check_problem(config: RunConfig) -> None:
         raise CLIError(f"problem data violates the sign hypotheses:\n  {details}")
 
 
+def _solution_csv(mesh: Mesh, y: np.ndarray) -> Iterator[str]:
+    yield "i,x,Y\n"
+    for start in range(0, mesh.n + 1, _CSV_CHUNK):
+        stop = start + _CSV_CHUNK
+        yield "".join([
+            f"{i},{x!r},{v!r}\n"
+            for i, x, v in zip(
+                range(start, stop), mesh.points[start:stop].tolist(), y[start:stop].tolist()
+            )
+        ])
+
+
+def _mesh_csv(mesh: Mesh) -> Iterator[str]:
+    steps, regions = mesh.steps(), node_regions(mesh)
+    yield f"i,x_i,h_i,region\n0,{float(mesh.points[0])!r},,{regions[0]}\n"
+    for start in range(1, mesh.n + 1, _CSV_CHUNK):
+        stop = start + _CSV_CHUNK
+        yield "".join([
+            f"{i},{x!r},{h!r},{region}\n"
+            for i, x, h, region in zip(
+                range(start, stop),
+                mesh.points[start:stop].tolist(),
+                steps[start - 1:stop - 1].tolist(),
+                regions[start:stop],
+            )
+        ])
+
+
 def _run_solve(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
     mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
     solution = analysis.solve_on_mesh(config.spec, mesh)
-    lines = ["i,x,Y"]
-    for start in range(0, mesh.n + 1, _CSV_CHUNK):
-        stop = start + _CSV_CHUNK
-        lines += [
-            f"{i},{x!r},{y!r}"
-            for i, x, y in zip(
-                range(start, stop),
-                mesh.points[start:stop].tolist(),
-                solution.y[start:stop].tolist(),
-            )
-        ]
-    write_atomic(config.output, "\n".join(lines) + "\n")
+    write_atomic(config.output, _solution_csv(mesh, solution.y))
     if config.plot:
         svg = polyline_plot(
             mesh.points.tolist(),
@@ -366,12 +391,7 @@ def _run_compare(config: RunConfig) -> None:
 def _run_mesh(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
     mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
-    regions = node_regions(mesh)
-    lines = ["i,x_i,h_i,region"]
-    steps = [""] + [repr(h) for h in mesh.steps().tolist()]
-    for i, (x, h, region) in enumerate(zip(mesh.points.tolist(), steps, regions)):
-        lines.append(f"{i},{x!r},{h},{region}")
-    write_atomic(config.output, "\n".join(lines) + "\n")
+    write_atomic(config.output, _mesh_csv(mesh))
 
 
 def _run_manufactured(config: RunConfig) -> None:

@@ -264,23 +264,20 @@ _LAYER_REGIONS = (
 
 
 def node_regions(mesh: Mesh) -> list[str]:
-    """Region label per node, for mesh dumps."""
+    """Region label per node, for mesh dumps.
+
+    A region takes the nodes after the previous region's last node up to
+    and including its own boundary: n/8, 3n/8, n/2, 5n/8, 7n/8 and n for
+    the layer-adapted families, n/2 and n for the uniform one.
+    """
     n = mesh.n
+    if mesh.family is MeshFamily.UNIFORM:
+        names, bounds = ("left", "right"), (n // 2, n)
+    else:
+        names, bounds = _LAYER_REGIONS, (n // 8, 3 * n // 8, n // 2, 5 * n // 8, 7 * n // 8, n)
     labels = []
-    for i in range(n + 1):
-        if mesh.family is MeshFamily.UNIFORM:
-            labels.append("left" if i <= n // 2 else "right")
-            continue
-        if i <= n // 8:
-            labels.append(_LAYER_REGIONS[0])
-        elif i <= 3 * n // 8:
-            labels.append(_LAYER_REGIONS[1])
-        elif i <= n // 2:
-            labels.append(_LAYER_REGIONS[2])
-        elif i <= 5 * n // 8:
-            labels.append(_LAYER_REGIONS[3])
-        elif i <= 7 * n // 8:
-            labels.append(_LAYER_REGIONS[4])
-        else:
-            labels.append(_LAYER_REGIONS[5])
+    last = -1
+    for name, bound in zip(names, bounds):
+        labels += [name] * (bound - last)
+        last = bound
     return labels

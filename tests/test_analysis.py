@@ -7,6 +7,9 @@ import pytest
 
 from splayer import (
     MeshFamily,
+    PivotError,
+    SweepCellWarning,
+    build_mesh,
     builtin_example,
     compare_meshes,
     comparison_to_csv,
@@ -185,3 +188,102 @@ def test_double_mesh_uniform_family_regenerate():
     mesh = uniform_mesh(32, spec.d)
     error, _, _ = double_mesh_error(spec, mesh, mode="regenerate")
     assert error > 0.0
+
+
+REUSE_N_LISTS = [(32, 64, 128, 256), (64, 96, 192, 256)]
+
+
+@pytest.mark.parametrize("family", list(MeshFamily))
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+@pytest.mark.parametrize("n_values", REUSE_N_LISTS)
+def test_regenerate_reuse_matches_cell_by_cell(family, example, n_values):
+    # the row walk reuses a fine solve as the next coarse solve; the table
+    # must equal a fresh double_mesh_error per cell, bit for bit
+    spec = builtin_example(example, epsilon=1e-6, mu=1e-4)
+    mu_values = [1e-4, 1e-10]
+    table = convergence_table(
+        spec, "mu", mu_values, n_values, family=family, mode="regenerate", samples=400
+    )
+    expected = np.empty((len(mu_values), len(n_values)))
+    for j, mu in enumerate(mu_values):
+        row_spec = builtin_example(example, epsilon=1e-6, mu=mu)
+        regime = derive_regime(row_spec, 400)
+        for k, n in enumerate(n_values):
+            mesh = build_mesh(family, regime, n, row_spec.d)
+            expected[j, k], _, _ = double_mesh_error(row_spec, mesh, "regenerate", regime)
+    assert table.errors.tobytes() == expected.tobytes()
+    assert np.all(np.isfinite(table.errors))
+
+
+def _count_solves(monkeypatch):
+    sizes = []
+    real = analysis.solve_thomas
+
+    def counting(system):
+        sizes.append(system.n)
+        return real(system)
+
+    monkeypatch.setattr(analysis, "solve_thomas", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("mode", analysis.DOUBLE_MESH_MODES)
+def test_solves_per_row(monkeypatch, mode):
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
+    n_values = (64, 128, 256, 512)
+    k = len(n_values)
+    sizes = _count_solves(monkeypatch)
+    convergence_table(spec, "mu", [1e-10, 1e-12], n_values, mode=mode, samples=400)
+    per_row = {"regenerate": k + 1, "bisect": 2 * k}[mode]
+    assert len(sizes) == 2 * per_row
+    if mode == "regenerate":
+        assert sizes == [64, 128, 256, 512, 1024] * 2
+
+
+def test_regenerate_reuse_only_on_doubling(monkeypatch):
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
+    sizes = _count_solves(monkeypatch)
+    convergence_table(spec, "mu", [1e-10], (64, 96, 192, 256), mode="regenerate", samples=400)
+    # 64 and 96 solve both meshes, 192 reuses the fine solve of 96, 256 does not
+    assert sizes == [64, 128, 96, 192, 384, 256, 512]
+
+
+def test_failed_fine_solve_is_not_reused(monkeypatch):
+    spec = builtin_example("ex2", epsilon=1e-8, mu=1e-6)
+    n_values = (64, 128, 256, 512)
+    real = analysis.solve_thomas
+
+    def failing_at_256(system):
+        if system.n == 256:
+            raise PivotError(7, 0.0)
+        return real(system)
+
+    monkeypatch.setattr(analysis, "solve_thomas", failing_at_256)
+    with pytest.warns(SweepCellWarning):
+        table = convergence_table(
+            spec, "mu", [1e-6], n_values, mode="regenerate", samples=400
+        )
+    # the 2N solve of N = 128 fails, and so does the coarse solve of N = 256
+    regime = derive_regime(spec, 400)
+    expected = []
+    for n in n_values:
+        mesh = build_mesh(MeshFamily.SHISHKIN_BAKHVALOV, regime, n, spec.d)
+        try:
+            expected.append(double_mesh_error(spec, mesh, "regenerate", regime)[0])
+        except PivotError:
+            expected.append(math.nan)
+    assert [math.isnan(e) for e in table.errors[0]] == [False, True, True, False]
+    assert table.errors[0].tobytes() == np.array(expected).tobytes()
+
+
+def test_failed_cells_are_named_by_warnings():
+    spec = builtin_example("ex1", epsilon=1e-16, mu=1e-4)
+    with pytest.warns(SweepCellWarning) as caught:
+        table = convergence_table(spec, "epsilon", [1e-16, 1e-20], [64, 128], samples=400)
+    assert np.all(np.isfinite(table.errors[0]))
+    assert np.all(np.isnan(table.errors[1]))
+    messages = [str(w.message) for w in caught if w.category is SweepCellWarning]
+    assert len(messages) == 2
+    for message, n in zip(messages, (64, 128)):
+        assert message.startswith(f"shishkin-bakhvalov sweep cell epsilon = 1e-20, N = {n} ")
+        assert "ValueError: mesh nodes must be strictly increasing" in message

@@ -1,11 +1,16 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splayer.cli import main
+import splayer
+from splayer.cli import main, write_atomic
 
 
 def run(args, cwd):
@@ -194,3 +199,51 @@ def test_layer_below_float_spacing_names_the_cause(tmp_path, capsys):
     assert "n = 2048" in err
     assert f"float spacing is {float(np.spacing(0.5))!r}" in err
     assert not (tmp_path / "solution.csv").exists()
+
+
+def test_write_atomic_streams_chunks(tmp_path):
+    target = tmp_path / "out.csv"
+    write_atomic(target, (f"{i}\n" for i in range(3)))
+    assert target.read_text() == "0\n1\n2\n"
+
+
+def test_write_atomic_failed_chunks_leave_target(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def chunks():
+        yield "new first chunk\n"
+        raise ValueError("formatting failed")
+
+    with pytest.raises(ValueError, match="formatting failed"):
+        write_atomic(target, chunks())
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_failed_sweep_cells_named_on_stderr(tmp_path):
+    # the warnings go through Python's default display, so run a real process
+    src = str(Path(splayer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "splayer.cli", "converge", "--problem", "ex1",
+         "--mu", "1e-4", "--epsilon-range", "1e-16:1e-24", "--n", "64:256"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert lines[0] == "param,N,E,R"
+    assert lines[1] == "1e-16,64,0.16214710118202003,0.6234672096525039"
+    assert len(lines) == 1 + 9 * 3
+    for line in lines[1:]:
+        param, n, error, order = line.split(",")
+        if float(param) >= 1e-19:
+            assert error and (order or n == "256")
+        else:
+            assert error == "" and order == ""
+    named = [line for line in done.stderr.splitlines() if "SweepCellWarning" in line]
+    assert len(named) == 5 * 3
+    cell = next(line for line in named if "epsilon = 1e-20, N = 64 " in line)
+    assert "strictly increasing" in cell

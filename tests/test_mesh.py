@@ -188,6 +188,39 @@ def test_mesh_constructor_rejects_disorder():
         Mesh(np.array([0.0, 0.3, 0.5, 0.5, 1.0]), 4, 2, MeshFamily.UNIFORM, (0, 0, 0, 0))
 
 
+def _node_regions_loop(mesh):
+    # the per-node labelling that node_regions replaced with region bounds
+    n = mesh.n
+    labels = []
+    for i in range(n + 1):
+        if mesh.family is MeshFamily.UNIFORM:
+            labels.append("left" if i <= n // 2 else "right")
+        elif i <= n // 8:
+            labels.append("left-layer")
+        elif i <= 3 * n // 8:
+            labels.append("left-outer")
+        elif i <= n // 2:
+            labels.append("interior-left")
+        elif i <= 5 * n // 8:
+            labels.append("interior-right")
+        elif i <= 7 * n // 8:
+            labels.append("right-outer")
+        else:
+            labels.append("right-layer")
+    return labels
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_node_regions_match_per_node_loop(n):
+    regime = _regime(1e-6, 1e-10)
+    for mesh in (
+        shishkin_bakhvalov_mesh(regime, n, 0.5),
+        shishkin_mesh(regime, n, 0.5),
+        uniform_mesh(n, 0.5),
+    ):
+        assert node_regions(mesh) == _node_regions_loop(mesh)
+
+
 def test_node_regions_labels():
     regime = _regime(1e-6, 1e-10)
     mesh = shishkin_bakhvalov_mesh(regime, 64, 0.5)
