@@ -50,9 +50,9 @@ _DEFAULT_OUTPUT = {
 }
 
 
-# rows of a solve or mesh CSV formatted and written as one chunk; at
-# n = 2^20, whole-array float lists and one joined string would hold
-# ~100 MB more at the peak than the chunks do
+# rows of a solve or mesh CSV formatted from one slice of float lists; the
+# mesh CSV also writes each chunk as it goes, which at n = 2^20 holds
+# ~100 MB less at the peak than one joined string
 _CSV_CHUNK = 4096
 
 
@@ -312,18 +312,6 @@ def _check_problem(config: RunConfig) -> None:
         raise CLIError(f"problem data violates the sign hypotheses:\n  {details}")
 
 
-def _solution_csv(mesh: Mesh, y: np.ndarray) -> Iterator[str]:
-    yield "i,x,Y\n"
-    for start in range(0, mesh.n + 1, _CSV_CHUNK):
-        stop = start + _CSV_CHUNK
-        yield "".join([
-            f"{i},{x!r},{v!r}\n"
-            for i, x, v in zip(
-                range(start, stop), mesh.points[start:stop].tolist(), y[start:stop].tolist()
-            )
-        ])
-
-
 def _mesh_csv(mesh: Mesh) -> Iterator[str]:
     steps, regions = mesh.steps(), node_regions(mesh)
     yield f"i,x_i,h_i,region\n0,{float(mesh.points[0])!r},,{regions[0]}\n"
@@ -344,7 +332,18 @@ def _run_solve(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
     mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
     solution = analysis.solve_on_mesh(config.spec, mesh)
-    write_atomic(config.output, _solution_csv(mesh, solution.y))
+    lines = ["i,x,Y"]
+    for start in range(0, mesh.n + 1, _CSV_CHUNK):
+        stop = start + _CSV_CHUNK
+        lines += [
+            f"{i},{x!r},{y!r}"
+            for i, x, y in zip(
+                range(start, stop),
+                mesh.points[start:stop].tolist(),
+                solution.y[start:stop].tolist(),
+            )
+        ]
+    write_atomic(config.output, "\n".join(lines) + "\n")
     if config.plot:
         svg = polyline_plot(
             mesh.points.tolist(),
