@@ -1,11 +1,11 @@
-"""Double-mesh error estimation, convergence tables, and mesh comparison.
+"""Double-mesh error estimation and convergence tables.
 
 The error estimate compares the solution on a mesh against the solution on
 its interval-bisection refinement at the shared (coarse) nodes; the
 observed order between consecutive n is log2 of the error ratio.  Sweeps
-over decades of mu or epsilon reproduce the usual error/order tables, and
-a manufactured-solution harness measures true nodal errors against a
-caller-supplied exact solution.
+over decades of mu or epsilon reproduce the usual error/order tables, one
+table per mesh family, and a manufactured-solution harness measures true
+nodal errors against a caller-supplied exact solution.
 """
 
 from __future__ import annotations
@@ -18,27 +18,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .expressions import BinOp, Expression, Num, evaluate_array
 from .linalg import Solution, solve_thomas
 from .mesh import Mesh, MeshFamily, build_mesh, refine_double
-from .problem import (
-    DEFAULT_SAMPLES,
-    Coefficient,
-    ProblemSpec,
-    RegimeData,
-    coefficient_values,
-    derive_regime,
-)
+from .problem import DEFAULT_SAMPLES, ProblemSpec, RegimeData, derive_regime
 from .scheme import assemble
 
 __all__ = [
     "DOUBLE_MESH_MODES",
     "SweepCellWarning",
     "ConvergenceTable",
-    "MeshComparison",
     "solve_on_mesh",
     "double_mesh_error",
     "convergence_table",
-    "compare_meshes",
     "manufactured_convergence",
     "table_to_csv",
     "table_to_markdown",
@@ -87,17 +79,21 @@ class ConvergenceTable:
             object.__setattr__(self, name, array)
 
 
-@dataclass(frozen=True)
-class MeshComparison:
-    """Paired sweeps on the uniform-in-layers and graded families."""
-
-    shishkin: ConvergenceTable
-    shishkin_bakhvalov: ConvergenceTable
-
-
 def solve_on_mesh(spec: ProblemSpec, mesh: Mesh) -> Solution:
     """Assemble and solve the discrete problem on one mesh."""
     return solve_thomas(assemble(spec, mesh))
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in DOUBLE_MESH_MODES:
+        raise ValueError(f"double-mesh mode must be one of {DOUBLE_MESH_MODES}, got {mode!r}")
+
+
+def _fine_mesh(mesh: Mesh, mode: str, regime: RegimeData | None, d: float) -> Mesh:
+    """The mesh with twice the intervals that ``mesh`` is compared against."""
+    if mode == "bisect":
+        return refine_double(mesh)
+    return build_mesh(mesh.family, regime, 2 * mesh.n, d)
 
 
 def double_mesh_error(
@@ -115,15 +111,11 @@ def double_mesh_error(
     The fresh mesh uses ``regime``, derived from ``spec`` with the default
     sampling when not given.
     """
-    if mode not in DOUBLE_MESH_MODES:
-        raise ValueError(f"double-mesh mode must be one of {DOUBLE_MESH_MODES}, got {mode!r}")
+    _check_mode(mode)
     coarse = solve_on_mesh(spec, mesh)
-    if mode == "bisect":
-        fine_mesh = refine_double(mesh)
-    else:
-        if regime is None and mesh.family is not MeshFamily.UNIFORM:
-            regime = derive_regime(spec, DEFAULT_SAMPLES)
-        fine_mesh = build_mesh(mesh.family, regime, 2 * mesh.n, spec.d)
+    if mode == "regenerate" and regime is None and mesh.family is not MeshFamily.UNIFORM:
+        regime = derive_regime(spec, DEFAULT_SAMPLES)
+    fine_mesh = _fine_mesh(mesh, mode, regime, spec.d)
     fine = solve_on_mesh(spec, fine_mesh)
     return _max_difference(mesh, coarse, fine_mesh, fine, mode), coarse, fine
 
@@ -138,22 +130,25 @@ def _max_difference(
     return float(np.max(np.abs(coarse.y - matched)))
 
 
-def _regenerate_row(
+def _row_errors(
     spec: ProblemSpec,
     regime: RegimeData,
     family: MeshFamily,
     n_values: tuple[int, ...],
+    mode: str,
     failed: Callable[[int, Exception], None],
 ) -> list[float]:
-    """Regenerate-mode errors along one sweep row, in ``n_values`` order.
+    """Double-mesh errors along one sweep row, in ``n_values`` order.
 
-    The fine solve at 2N is kept, and a following cell at that N takes it
-    as its coarse solve.  Meshing, assembly and the solve are deterministic,
-    so every error equals ``double_mesh_error`` cell by cell.  A solve that
-    raises is not kept; the next cell recomputes it and fails the same way.
+    In regenerate mode the fine solve at 2N is kept, and a following cell
+    at that N takes it as its coarse solve.  A bisected mesh is not the
+    mesh built for 2N, so bisect mode keeps nothing.  Meshing, assembly
+    and the solve are deterministic, so every error equals
+    ``double_mesh_error`` cell by cell.  A solve that raises is not kept;
+    the next cell recomputes it and fails the same way.
     """
     errors = []
-    kept = None  # (n, mesh, solution) of the last fine solve
+    kept = None  # (n, mesh, solution) of the last regenerated fine solve
     for n in n_values:
         reused, kept = kept, None
         try:
@@ -162,10 +157,11 @@ def _regenerate_row(
             else:
                 mesh = build_mesh(family, regime, n, spec.d)
                 coarse = solve_on_mesh(spec, mesh)
-            fine_mesh = build_mesh(family, regime, 2 * n, spec.d)
+            fine_mesh = _fine_mesh(mesh, mode, regime, spec.d)
             fine = solve_on_mesh(spec, fine_mesh)
-            kept = (2 * n, fine_mesh, fine)
-            errors.append(_max_difference(mesh, coarse, fine_mesh, fine, "regenerate"))
+            if mode == "regenerate":
+                kept = (2 * n, fine_mesh, fine)
+            errors.append(_max_difference(mesh, coarse, fine_mesh, fine, mode))
         except _CELL_ERRORS as err:
             failed(n, err)
             errors.append(math.nan)
@@ -210,6 +206,7 @@ def convergence_table(
     a cell's fine solve is reused as the coarse solve of the next cell when
     that cell's N doubles the previous one.
     """
+    _check_mode(mode)
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     specs = [_sweep_spec(spec, sweep_param, value) for value in sweep_values]
@@ -217,17 +214,7 @@ def convergence_table(
     flat = []
     for value, row_spec, regime in zip(sweep_values, specs, regimes):
         failed = functools.partial(_warn_cell, family, sweep_param, value)
-        if mode == "regenerate":
-            flat += _regenerate_row(row_spec, regime, family, n_values, failed)
-            continue
-        for n in n_values:
-            try:
-                mesh = build_mesh(family, regime, n, row_spec.d)
-                error, _, _ = double_mesh_error(row_spec, mesh, mode, regime)
-            except _CELL_ERRORS as err:
-                failed(n, err)
-                error = math.nan
-            flat.append(error)
+        flat += _row_errors(row_spec, regime, family, n_values, mode, failed)
     errors = np.array(flat).reshape(len(sweep_values), len(n_values))
     return ConvergenceTable(
         sweep_param=sweep_param,
@@ -239,51 +226,24 @@ def convergence_table(
     )
 
 
-def compare_meshes(
-    spec: ProblemSpec,
-    sweep_param: str,
-    sweep_values: Sequence[float],
-    n_values: Sequence[int],
-    mode: str = "bisect",
-    samples: int = DEFAULT_SAMPLES,
-) -> MeshComparison:
-    """Run the same sweep on both layer-adapted families."""
-    shishkin = convergence_table(
-        spec, sweep_param, sweep_values, n_values,
-        family=MeshFamily.SHISHKIN, mode=mode, samples=samples,
-    )
-    graded = convergence_table(
-        spec, sweep_param, sweep_values, n_values,
-        family=MeshFamily.SHISHKIN_BAKHVALOV, mode=mode, samples=samples,
-    )
-    return MeshComparison(shishkin=shishkin, shishkin_bakhvalov=graded)
-
-
 def _exact_side_rhs(
     spec: ProblemSpec,
-    a: Coefficient,
-    exact: Coefficient,
-    exact_d1: Coefficient,
-    exact_d2: Coefficient,
-):
-    # f = eps*y'' + mu*a*y' - b*y evaluated with this side's convection term
-    def rhs(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        values = (
-            spec.epsilon * coefficient_values(exact_d2, xs, "exact_d2")
-            + spec.mu * coefficient_values(a, xs, "a") * coefficient_values(exact_d1, xs, "exact_d1")
-            - coefficient_values(spec.b, xs, "b") * coefficient_values(exact, xs, "exact")
-        )
-        return values if np.ndim(x) else float(values[0])
-
-    return rhs
+    a: Expression,
+    exact: Expression,
+    exact_d1: Expression,
+    exact_d2: Expression,
+) -> Expression:
+    # f = eps*y'' + mu*a*y' - b*y with this side's convection coefficient
+    diffusion = BinOp("*", Num(spec.epsilon), exact_d2)
+    convection = BinOp("*", BinOp("*", Num(spec.mu), a), exact_d1)
+    return BinOp("-", BinOp("+", diffusion, convection), BinOp("*", spec.b, exact))
 
 
 def manufactured_convergence(
     spec: ProblemSpec,
-    exact: Coefficient,
-    exact_d1: Coefficient,
-    exact_d2: Coefficient,
+    exact: Expression,
+    exact_d1: Expression,
+    exact_d2: Expression,
     n_values: Sequence[int],
     family: MeshFamily = MeshFamily.SHISHKIN_BAKHVALOV,
     samples: int = DEFAULT_SAMPLES,
@@ -296,12 +256,13 @@ def manufactured_convergence(
     solution.  Errors are max nodal errors, not double-mesh estimates.
     """
     n_values = tuple(int(n) for n in n_values)
+    y0, y1 = evaluate_array(exact, [0.0, 1.0]).tolist()
     forced = replace(
         spec,
         f_left=_exact_side_rhs(spec, spec.a_left, exact, exact_d1, exact_d2),
         f_right=_exact_side_rhs(spec, spec.a_right, exact, exact_d1, exact_d2),
-        y0=float(coefficient_values(exact, np.array([0.0]), "exact")[0]),
-        y1=float(coefficient_values(exact, np.array([1.0]), "exact")[0]),
+        y0=y0,
+        y1=y1,
     )
     regime = derive_regime(forced, samples)
 
@@ -309,7 +270,7 @@ def manufactured_convergence(
         try:
             mesh = build_mesh(family, regime, n, forced.d)
             solution = solve_on_mesh(forced, mesh)
-            exact_nodes = coefficient_values(exact, mesh.points, "exact")
+            exact_nodes = evaluate_array(exact, mesh.points)
             return float(np.max(np.abs(solution.y - exact_nodes)))
         except _CELL_ERRORS as err:
             _warn_cell(family, "mu", spec.mu, n, err)
@@ -330,15 +291,20 @@ def _format_cell(value: float) -> str:
     return "" if math.isnan(value) else repr(float(value))
 
 
+def _csv_fields(table: ConvergenceTable, j: int) -> list[str]:
+    """``N,E,R`` of each cell in sweep row ``j``; R is empty at the final N."""
+    orders = list(table.orders[j]) + [math.nan]
+    return [
+        f"{n},{_format_cell(error)},{_format_cell(order)}"
+        for n, error, order in zip(table.n_values, table.errors[j], orders)
+    ]
+
+
 def table_to_csv(table: ConvergenceTable) -> str:
     """CSV with header ``param,N,E,R``; R is empty in the final-N row."""
     lines = ["param,N,E,R"]
     for j, value in enumerate(table.sweep_values):
-        for k, n in enumerate(table.n_values):
-            order = table.orders[j, k] if k < len(table.n_values) - 1 else math.nan
-            lines.append(
-                f"{value!r},{n},{_format_cell(table.errors[j, k])},{_format_cell(order)}"
-            )
+        lines += [f"{value!r},{fields}" for fields in _csv_fields(table, j)]
     return "\n".join(lines) + "\n"
 
 
@@ -350,48 +316,46 @@ def _md_order(value: float) -> str:
     return "" if math.isnan(value) else f"{value:.5f}"
 
 
+def _md_row(cells: Sequence[str]) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
+def _md_head(header: Sequence[str]) -> list[str]:
+    return [_md_row(header), _md_row(["---"] * len(header))]
+
+
 def table_to_markdown(table: ConvergenceTable) -> str:
     """Markdown table: per sweep value, one error row and one order row."""
-    header = [table.sweep_param] + [f"N={n}" for n in table.n_values]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
+    lines = _md_head([table.sweep_param] + [f"N={n}" for n in table.n_values])
     for j, value in enumerate(table.sweep_values):
-        error_cells = [_md_error(e) for e in table.errors[j]]
-        order_cells = [_md_order(r) for r in table.orders[j]] + [""]
-        lines.append("| " + " | ".join([f"{value:g}"] + error_cells) + " |")
-        lines.append("| " + " | ".join(["order"] + order_cells) + " |")
+        lines.append(_md_row([f"{value:g}"] + [_md_error(e) for e in table.errors[j]]))
+        lines.append(_md_row(["order"] + [_md_order(r) for r in table.orders[j]] + [""]))
     return "\n".join(lines) + "\n"
 
 
-def comparison_to_csv(comparison: MeshComparison) -> str:
-    """CSV with header ``param,mesh,N,E,R``; families paired per parameter."""
+def _same_sweep(tables: Sequence[ConvergenceTable]) -> ConvergenceTable:
+    if len({(t.sweep_param, t.sweep_values, t.n_values) for t in tables}) != 1:
+        raise ValueError("compared tables must share the sweep and the N values")
+    return tables[0]
+
+
+def comparison_to_csv(tables: Sequence[ConvergenceTable]) -> str:
+    """CSV with header ``param,mesh,N,E,R``; per parameter, one block per table."""
+    first = _same_sweep(tables)
     lines = ["param,mesh,N,E,R"]
-    tables = (comparison.shishkin, comparison.shishkin_bakhvalov)
-    for j, value in enumerate(comparison.shishkin.sweep_values):
+    for j, value in enumerate(first.sweep_values):
         for table in tables:
-            for k, n in enumerate(table.n_values):
-                order = table.orders[j, k] if k < len(table.n_values) - 1 else math.nan
-                lines.append(
-                    f"{value!r},{table.mesh_family.value},{n},"
-                    f"{_format_cell(table.errors[j, k])},{_format_cell(order)}"
-                )
+            family = table.mesh_family.value
+            lines += [f"{value!r},{family},{fields}" for fields in _csv_fields(table, j)]
     return "\n".join(lines) + "\n"
 
 
-def comparison_to_markdown(comparison: MeshComparison) -> str:
-    """Markdown comparison of observed orders, two rows per parameter."""
-    n_values = comparison.shishkin.n_values
-    header = [comparison.shishkin.sweep_param, "mesh"] + [f"N={n}" for n in n_values[:-1]]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for j, value in enumerate(comparison.shishkin.sweep_values):
-        for table in (comparison.shishkin, comparison.shishkin_bakhvalov):
-            cells = [_md_order(r) for r in table.orders[j]]
-            lines.append(
-                "| " + " | ".join([f"{value:g}", table.mesh_family.value] + cells) + " |"
-            )
+def comparison_to_markdown(tables: Sequence[ConvergenceTable]) -> str:
+    """Markdown comparison of observed orders, one row per parameter and table."""
+    first = _same_sweep(tables)
+    lines = _md_head([first.sweep_param, "mesh"] + [f"N={n}" for n in first.n_values[:-1]])
+    for j, value in enumerate(first.sweep_values):
+        for table in tables:
+            cells = [f"{value:g}", table.mesh_family.value]
+            lines.append(_md_row(cells + [_md_order(r) for r in table.orders[j]]))
     return "\n".join(lines) + "\n"

@@ -41,6 +41,8 @@ _FAMILIES = {
     "uniform": MeshFamily.UNIFORM,
 }
 
+_COMPARED_FAMILIES = (MeshFamily.SHISHKIN, MeshFamily.SHISHKIN_BAKHVALOV)
+
 _DEFAULT_OUTPUT = {
     "solve": "solution",
     "converge": "convergence",
@@ -77,11 +79,18 @@ class RunConfig:
     exact: tuple | None  # (y, y', y'') expressions for manufactured runs
 
 
+def _umask() -> int:
+    mask = os.umask(0)  # reading the umask means setting it; restore at once
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     """Write via a temp file in the same directory, then rename.
 
     ``text`` is one string or an iterable of string chunks, written in
-    order; the target is replaced only once every chunk is written.
+    order; the target is replaced only once every chunk is written.  The
+    file gets the mode ``open()`` would give it under the current umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -90,6 +99,8 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     )
     try:
         with handle:
+            # the temp file is created 0600, and os.replace keeps that mode
+            os.chmod(handle.name, 0o666 & ~_umask())
             if isinstance(text, str):
                 handle.write(text)
             else:
@@ -175,10 +186,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, sweep: bool):
+    # a subcommand registers only the flags it reads: compare always runs
+    # both layer-adapted families, and manufactured solves one (epsilon, mu)
+    def common(p, *, mesh: bool = True, sweep: bool = False, table: bool = False):
         p.add_argument("--problem", required=True, help="ex1, ex2, or a JSON problem file")
-        p.add_argument("--mesh", default="sb", choices=sorted(_FAMILIES),
-                       help="mesh family (default sb)")
+        if mesh:
+            p.add_argument("--mesh", default="sb", choices=sorted(_FAMILIES),
+                           help="mesh family (default sb)")
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                        help="coefficient sampling resolution per subinterval")
         p.add_argument("--output", default=None, help="output file path")
@@ -189,32 +203,35 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="decade sweep START:STOP, e.g. 1e-8:1e-14")
             p.add_argument("--mu-range", default=None,
                            help="decade sweep START:STOP, e.g. 1e-4:1e-17")
-            p.add_argument("--n", required=True,
-                           help="mesh sizes: scalar, comma list, or doubling range 64:1024")
-            p.add_argument("--format", default="csv", choices=("csv", "md"))
-            p.add_argument("--double-mesh", default="bisect",
-                           choices=analysis.DOUBLE_MESH_MODES)
         else:
             p.add_argument("--epsilon", required=True, help="diffusion parameter")
             p.add_argument("--mu", required=True, help="convection parameter")
+        if table:
+            p.add_argument("--n", required=True,
+                           help="mesh sizes: scalar, comma list, or doubling range 64:1024")
+            p.add_argument("--format", default="csv", choices=("csv", "md"))
+        else:
             p.add_argument("--n", required=True, help="mesh size (multiple of 8)")
+        if sweep:
+            p.add_argument("--double-mesh", default="bisect",
+                           choices=analysis.DOUBLE_MESH_MODES)
 
     p_solve = sub.add_parser("solve", help="solve once and write nodal values")
-    common(p_solve, sweep=False)
+    common(p_solve)
     p_solve.add_argument("--plot", action="store_true", help="also write an SVG plot")
     p_solve.add_argument("--markers", action="store_true", help="node markers in the plot")
 
     p_conv = sub.add_parser("converge", help="double-mesh error/order table")
-    common(p_conv, sweep=True)
+    common(p_conv, sweep=True, table=True)
 
     p_comp = sub.add_parser("compare", help="graded vs piecewise-uniform mesh orders")
-    common(p_comp, sweep=True)
+    common(p_comp, mesh=False, sweep=True, table=True)
 
     p_mesh = sub.add_parser("mesh", help="dump mesh nodes as CSV")
-    common(p_mesh, sweep=False)
+    common(p_mesh)
 
     p_man = sub.add_parser("manufactured", help="true-error table for a known solution")
-    common(p_man, sweep=True)
+    common(p_man, table=True)
     p_man.add_argument("--exact", required=True, help="exact solution expression in x")
     p_man.add_argument("--exact-d1", required=True, help="its first derivative")
     p_man.add_argument("--exact-d2", required=True, help="its second derivative")
@@ -236,7 +253,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     plot = getattr(args, "plot", False)
     markers = getattr(args, "markers", False)
     double_mesh = getattr(args, "double_mesh", "bisect")
-    family = _FAMILIES[args.mesh]
+    family = _FAMILIES[getattr(args, "mesh", "sb")]
 
     if sweeping:
         if args.epsilon_range is not None and args.mu_range is not None:
@@ -280,10 +297,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as err:
         raise CLIError(str(err)) from err
 
-    suffix = "md" if fmt == "md" and args.subcommand != "solve" else "csv"
-    if args.subcommand == "mesh":
-        suffix = "csv"
-    output = Path(args.output) if args.output else Path(f"{_DEFAULT_OUTPUT[args.subcommand]}.{suffix}")
+    output = Path(args.output) if args.output else Path(f"{_DEFAULT_OUTPUT[args.subcommand]}.{fmt}")
 
     if args.samples < 2:
         raise CLIError(f"--samples must be at least 2, got {args.samples}")
@@ -356,33 +370,30 @@ def _run_solve(config: RunConfig) -> None:
         write_atomic(config.output.with_suffix(".svg"), svg)
 
 
-def _run_converge(config: RunConfig) -> None:
-    table = analysis.convergence_table(
+def _sweep(config: RunConfig, family: MeshFamily) -> analysis.ConvergenceTable:
+    return analysis.convergence_table(
         config.spec,
         config.sweep_param,
         config.sweep_values,
         config.n_values,
-        family=config.family,
+        family=family,
         mode=config.double_mesh,
         samples=config.samples,
     )
+
+
+def _run_converge(config: RunConfig) -> None:
+    table = _sweep(config, config.family)
     text = analysis.table_to_markdown(table) if config.fmt == "md" else analysis.table_to_csv(table)
     write_atomic(config.output, text)
 
 
 def _run_compare(config: RunConfig) -> None:
-    comparison = analysis.compare_meshes(
-        config.spec,
-        config.sweep_param,
-        config.sweep_values,
-        config.n_values,
-        mode=config.double_mesh,
-        samples=config.samples,
-    )
+    tables = [_sweep(config, family) for family in _COMPARED_FAMILIES]
     text = (
-        analysis.comparison_to_markdown(comparison)
+        analysis.comparison_to_markdown(tables)
         if config.fmt == "md"
-        else analysis.comparison_to_csv(comparison)
+        else analysis.comparison_to_csv(tables)
     )
     write_atomic(config.output, text)
 

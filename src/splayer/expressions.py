@@ -1,8 +1,8 @@
 """Arithmetic expressions in a single variable ``x``.
 
 Coefficient functions arrive as text (from JSON problem files or CLI
-flags) and are parsed once into small immutable ASTs that can then be
-evaluated at scalar points or over whole arrays of mesh nodes.
+flags) and are parsed once into small immutable ASTs that are then
+evaluated over whole arrays of mesh nodes.
 
 Grammar, tightest binding first: ``^`` (right associative), unary minus,
 ``* /``, ``+ -``.  Calls to sin, cos, tan, exp, log, sqrt, abs and the
@@ -32,7 +32,6 @@ __all__ = [
     "UnknownIdentifierError",
     "EvaluationError",
     "parse",
-    "evaluate",
     "evaluate_array",
     "unparse",
 ]
@@ -261,21 +260,12 @@ def _eval(node: Expression, x):
     return np.power(left, right)
 
 
-def evaluate(expression: Expression, x: float) -> float:
-    """Evaluate at one point in IEEE double precision.
+def evaluate_array(expression: Expression, xs) -> np.ndarray:
+    """Evaluate at every point of ``xs`` in IEEE double precision.
 
     Partial functions follow IEEE semantics internally; a non-finite result
-    raises :class:`EvaluationError` carrying the offending ``x``.
+    raises :class:`EvaluationError` carrying the first offending ``x``.
     """
-    with np.errstate(all="ignore"):
-        value = float(_eval(expression, np.float64(x)))
-    if not math.isfinite(value):
-        raise EvaluationError(f"expression is non-finite ({value}) at x = {x}", float(x))
-    return value
-
-
-def evaluate_array(expression: Expression, xs) -> np.ndarray:
-    """Evaluate over an array of points; any non-finite entry is an error."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         values = _eval(expression, xs)

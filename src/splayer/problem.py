@@ -17,15 +17,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .expressions import EvaluationError, Expression, evaluate, evaluate_array, parse
+from .expressions import EvaluationError, Expression, evaluate_array, parse
 
 __all__ = [
     "Case",
-    "Coefficient",
     "ProblemSpec",
     "RegimeData",
     "validate",
@@ -33,12 +32,8 @@ __all__ = [
     "builtin_example",
     "problem_from_dict",
     "load_problem",
-    "eval_coefficient",
-    "coefficient_values",
     "DEFAULT_SAMPLES",
 ]
-
-Coefficient = Union[Expression, Callable[[float], float]]
 
 DEFAULT_SAMPLES = 10_000
 
@@ -47,6 +42,8 @@ DEFAULT_SAMPLES = 10_000
 ENDPOINT_OFFSET = 1.0e-12
 
 OVERRIDE_KEYS = ("alpha1", "alpha2", "rho", "gamma")
+
+_COEFFICIENT_FIELDS = ("a_left", "a_right", "b", "f_left", "f_right")
 
 
 class Case(Enum):
@@ -60,17 +57,17 @@ class Case(Enum):
 class ProblemSpec:
     """Continuous problem data.
 
-    The five coefficients are either parsed :class:`Expression` trees or
-    plain callables of one float.  Instances are immutable and safe to
-    share across threads; use :func:`dataclasses.replace` to vary epsilon
-    and mu in parameter sweeps.
+    The five coefficients are parsed :class:`Expression` trees (see
+    :func:`~splayer.expressions.parse`).  Instances are immutable and safe
+    to share across threads; use :func:`dataclasses.replace` to vary
+    epsilon and mu in parameter sweeps.
     """
 
-    a_left: Coefficient
-    a_right: Coefficient
-    b: Coefficient
-    f_left: Coefficient
-    f_right: Coefficient
+    a_left: Expression
+    a_right: Expression
+    b: Expression
+    f_left: Expression
+    f_right: Expression
     d: float
     y0: float
     y1: float
@@ -79,6 +76,13 @@ class ProblemSpec:
     overrides: Mapping[str, float] | None = None
 
     def __post_init__(self):
+        for name in _COEFFICIENT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, Expression):
+                raise TypeError(
+                    f"{name} must be an Expression parsed with parse(), "
+                    f"got {type(value).__name__}"
+                )
         if not 0.0 < self.d < 1.0:
             raise ValueError(f"d must lie in (0, 1), got {self.d}")
         if self.epsilon <= 0.0:
@@ -115,43 +119,6 @@ class RegimeData:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def eval_coefficient(fn: Coefficient, x: float) -> float:
-    """Evaluate a coefficient at one point, whatever its representation."""
-    if callable(fn):
-        return float(fn(x))
-    return evaluate(fn, x)
-
-
-def coefficient_values(fn: Coefficient, xs: np.ndarray, name: str = "coefficient") -> np.ndarray:
-    """Evaluate a coefficient over an array of points.
-
-    Expression trees are evaluated vectorised; plain callables are tried on
-    the whole array first and fall back to an elementwise loop.  Non-finite
-    values raise :class:`EvaluationError` naming the offending point.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if not callable(fn):
-        return evaluate_array(fn, xs)
-    try:
-        values = fn(xs)
-        if np.ndim(values) == 0:
-            values = np.full(xs.shape, float(values))
-        else:
-            values = np.asarray(values, dtype=float)
-            if values.shape != xs.shape:
-                raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(fn(float(x))) for x in xs])
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        x_bad = float(xs.flat[i])
-        raise EvaluationError(
-            f"{name} is non-finite ({values.flat[i]}) at x = {x_bad}", x_bad
-        )
-    return values
-
-
 def _sample_grid(lo: float, hi: float, samples: int) -> np.ndarray:
     offset = ENDPOINT_OFFSET * (hi - lo)
     return np.linspace(lo + offset, hi - offset, samples)
@@ -177,8 +144,8 @@ def validate(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> list[str]:
 
     def sampled(fn, xs, name):
         try:
-            return coefficient_values(fn, xs, name)
-        except (EvaluationError, ZeroDivisionError, OverflowError) as err:
+            return evaluate_array(fn, xs)
+        except EvaluationError as err:
             violations.append(f"{name} failed to evaluate: {err}")
             return None
 
@@ -219,10 +186,10 @@ def derive_regime(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> RegimeDa
     left, right = _grids(spec, samples)
     overrides = dict(spec.overrides or {})
 
-    a_l = coefficient_values(spec.a_left, left, "a_left")
-    a_r = coefficient_values(spec.a_right, right, "a_right")
-    b_l = coefficient_values(spec.b, left, "b")
-    b_r = coefficient_values(spec.b, right, "b")
+    a_l = evaluate_array(spec.a_left, left)
+    a_r = evaluate_array(spec.a_right, right)
+    b_l = evaluate_array(spec.b, left)
+    b_r = evaluate_array(spec.b, right)
 
     alpha1 = overrides.get("alpha1", -float(np.max(a_l)))
     alpha2 = overrides.get("alpha2", float(np.min(a_r)))

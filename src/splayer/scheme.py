@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import evaluate_array
 from .mesh import Mesh
-from .problem import ProblemSpec, coefficient_values
+from .problem import ProblemSpec
 
 __all__ = [
     "TridiagonalSystem",
@@ -88,9 +89,9 @@ def assemble(spec: ProblemSpec, mesh: Mesh) -> TridiagonalSystem:
     xl = x[il]
     hi, hip = h[il - 1], h[il]
     hbar = 0.5 * (hi + hip)
-    a_l = coefficient_values(spec.a_left, xl, "a_left")
-    b_l = coefficient_values(spec.b, xl, "b")
-    f_l = coefficient_values(spec.f_left, xl, "f_left")
+    a_l = evaluate_array(spec.a_left, xl)
+    b_l = evaluate_array(spec.b, xl)
+    f_l = evaluate_array(spec.f_left, xl)
     lower[il] = -(eps / (hi * hbar) - mu * a_l / hi)
     diag[il] = eps / (hi * hbar) + eps / (hip * hbar) - mu * a_l / hi + b_l
     upper[il] = -eps / (hip * hbar)
@@ -100,9 +101,9 @@ def assemble(spec: ProblemSpec, mesh: Mesh) -> TridiagonalSystem:
     xr = x[ir]
     hi, hip = h[ir - 1], h[ir]
     hbar = 0.5 * (hi + hip)
-    a_r = coefficient_values(spec.a_right, xr, "a_right")
-    b_r = coefficient_values(spec.b, xr, "b")
-    f_r = coefficient_values(spec.f_right, xr, "f_right")
+    a_r = evaluate_array(spec.a_right, xr)
+    b_r = evaluate_array(spec.b, xr)
+    f_r = evaluate_array(spec.f_right, xr)
     lower[ir] = -eps / (hi * hbar)
     diag[ir] = eps / (hi * hbar) + eps / (hip * hbar) + mu * a_r / hip + b_r
     upper[ir] = -(eps / (hip * hbar) + mu * a_r / hip)

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from splayer import Case, RegimeData
-from splayer.problem import coefficient_values
+from splayer.expressions import evaluate_array
 
 
 def draw_regimes(count: int, seed: int = 20240811):
@@ -132,7 +132,7 @@ class ExactSolution:
 
 def _side_constant(fn, lo: float, hi: float, name: str) -> float:
     """The value of a coefficient that is constant on (lo, hi); raises otherwise."""
-    values = coefficient_values(fn, np.linspace(lo, hi, 9)[1:-1], name)
+    values = evaluate_array(fn, np.linspace(lo, hi, 9)[1:-1])
     if np.ptp(values) != 0.0:
         raise ValueError(f"{name} is not constant on ({lo}, {hi})")
     return float(values[0])

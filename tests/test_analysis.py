@@ -11,7 +11,6 @@ from splayer import (
     SweepCellWarning,
     build_mesh,
     builtin_example,
-    compare_meshes,
     comparison_to_csv,
     comparison_to_markdown,
     convergence_table,
@@ -25,6 +24,8 @@ from splayer import (
     uniform_mesh,
 )
 from splayer import analysis
+
+COMPARED = (MeshFamily.SHISHKIN, MeshFamily.SHISHKIN_BAKHVALOV)
 
 
 def test_double_mesh_error_is_deterministic():
@@ -53,6 +54,8 @@ def test_double_mesh_regenerate_mode():
     assert error > 0.0
     with pytest.raises(ValueError):
         double_mesh_error(spec, mesh, mode="bogus")
+    with pytest.raises(ValueError, match="double-mesh mode"):
+        convergence_table(spec, "mu", [1e-8], [32], mode="bogus", samples=50)
 
 
 def test_single_pair_order_matches_definition():
@@ -88,27 +91,45 @@ def test_epsilon_uniformity_band():
 
 def test_cell_failure_recorded_as_missing(monkeypatch):
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
-    real = analysis.double_mesh_error
+    real = analysis.refine_double
 
-    def flaky(spec_, mesh, mode="bisect", regime=None):
+    def flaky(mesh):
         if mesh.n == 128:
             raise ValueError("synthetic cell failure")
-        return real(spec_, mesh, mode, regime)
+        return real(mesh)
 
-    monkeypatch.setattr(analysis, "double_mesh_error", flaky)
-    table = convergence_table(spec, "mu", [1e-10], [64, 128, 256], samples=400)
+    monkeypatch.setattr(analysis, "refine_double", flaky)
+    with pytest.warns(SweepCellWarning, match="N = 128 left empty: ValueError: synthetic"):
+        table = convergence_table(spec, "mu", [1e-10], [64, 128, 256], samples=400)
     assert math.isnan(table.errors[0, 1])
     assert not math.isnan(table.errors[0, 0])
     assert not math.isnan(table.errors[0, 2])
     assert math.isnan(table.orders[0, 0]) and math.isnan(table.orders[0, 1])
 
 
-def test_compare_meshes_pairs_families():
+def _family_tables(spec, mu_values, n_values, families=COMPARED):
+    return [
+        convergence_table(spec, "mu", mu_values, n_values, family=family, samples=400)
+        for family in families
+    ]
+
+
+def test_comparison_pairs_families():
+    # the writers list the tables in the order given, once per parameter
     spec = builtin_example("ex1", epsilon=1e-8, mu=1e-8)
-    comparison = compare_meshes(spec, "mu", [1e-8], [64, 128], samples=400)
-    assert comparison.shishkin.mesh_family is MeshFamily.SHISHKIN
-    assert comparison.shishkin_bakhvalov.mesh_family is MeshFamily.SHISHKIN_BAKHVALOV
-    assert comparison.shishkin.errors.shape == comparison.shishkin_bakhvalov.errors.shape
+    families = (MeshFamily.SHISHKIN_BAKHVALOV, MeshFamily.UNIFORM, MeshFamily.SHISHKIN)
+    tables = _family_tables(spec, [1e-8, 1e-9], [64, 128], families)
+    rows = comparison_to_csv(tables).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows[:6]] == [
+        "shishkin-bakhvalov", "shishkin-bakhvalov", "uniform", "uniform", "shishkin", "shishkin",
+    ]
+    md_rows = comparison_to_markdown(tables).splitlines()[2:]
+    assert [row.split(" | ")[1] for row in md_rows] == [f.value for f in families] * 2
+    # tables of different sweeps cannot be paired
+    other = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 256], samples=400)
+    for writer in (comparison_to_csv, comparison_to_markdown):
+        with pytest.raises(ValueError, match="must share the sweep"):
+            writer([tables[0], other])
 
 
 def test_manufactured_smooth_solution_first_order():
@@ -171,16 +192,33 @@ def test_table_markdown_layout():
 
 def test_comparison_csv_and_markdown():
     spec = builtin_example("ex1", epsilon=1e-8, mu=1e-8)
-    comparison = compare_meshes(spec, "mu", [1e-8], [64, 128], samples=400)
-    csv_text = comparison_to_csv(comparison)
-    lines = csv_text.strip().splitlines()
+    mu_values, n_values = (1e-8, 1e-9), (64, 128, 256)
+    tables = _family_tables(spec, mu_values, n_values)
+    lines = comparison_to_csv(tables).splitlines()
     assert lines[0] == "param,mesh,N,E,R"
-    assert [line.split(",")[1] for line in lines[1:]] == [
-        "shishkin", "shishkin", "shishkin-bakhvalov", "shishkin-bakhvalov",
+    expected = [
+        (mu, table, k) for j, mu in enumerate(mu_values) for table in tables
+        for k in range(len(n_values))
     ]
-    md_text = comparison_to_markdown(comparison)
-    assert "| shishkin |" in md_text.replace("shishkin-bakhvalov", "SB")
-    assert "shishkin-bakhvalov" in md_text
+    assert len(lines) == 1 + len(expected)
+    for line, (mu, table, k) in zip(lines[1:], expected):
+        param, mesh, n_text, e_text, r_text = line.split(",")
+        j = mu_values.index(mu)
+        assert (float(param), mesh, int(n_text)) == (mu, table.mesh_family.value, n_values[k])
+        assert float(e_text) == table.errors[j, k]
+        if k < len(n_values) - 1:
+            assert float(r_text) == table.orders[j, k]
+        else:
+            assert r_text == ""
+    md_lines = comparison_to_markdown(tables).splitlines()
+    assert md_lines[0] == "| mu | mesh | N=64 | N=128 |"
+    assert len(md_lines) == 2 + len(mu_values) * len(tables)
+    for index, line in enumerate(md_lines[2:]):
+        j, f = divmod(index, len(tables))
+        table = tables[f]
+        cells = line.strip("| ").split(" | ")
+        assert cells[:2] == [f"{mu_values[j]:g}", table.mesh_family.value]
+        assert cells[2:] == [f"{r:.5f}" for r in table.orders[j]]
 
 
 def test_double_mesh_uniform_family_regenerate():
@@ -197,22 +235,25 @@ REUSE_N_LISTS = [(32, 64, 128, 256), (64, 96, 192, 256)]
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 @pytest.mark.parametrize("n_values", REUSE_N_LISTS)
 def test_regenerate_reuse_matches_cell_by_cell(family, example, n_values):
-    # the row walk reuses a fine solve as the next coarse solve; the table
-    # must equal a fresh double_mesh_error per cell, bit for bit
+    # one row walk serves both modes, and in regenerate mode it reuses a fine
+    # solve as the next coarse solve; the table must equal a fresh
+    # double_mesh_error per cell, bit for bit.  The modes are looped here
+    # rather than parametrized so that the test ids stay as they were.
     spec = builtin_example(example, epsilon=1e-6, mu=1e-4)
     mu_values = [1e-4, 1e-10]
-    table = convergence_table(
-        spec, "mu", mu_values, n_values, family=family, mode="regenerate", samples=400
-    )
-    expected = np.empty((len(mu_values), len(n_values)))
-    for j, mu in enumerate(mu_values):
-        row_spec = builtin_example(example, epsilon=1e-6, mu=mu)
-        regime = derive_regime(row_spec, 400)
-        for k, n in enumerate(n_values):
-            mesh = build_mesh(family, regime, n, row_spec.d)
-            expected[j, k], _, _ = double_mesh_error(row_spec, mesh, "regenerate", regime)
-    assert table.errors.tobytes() == expected.tobytes()
-    assert np.all(np.isfinite(table.errors))
+    for mode in analysis.DOUBLE_MESH_MODES:
+        table = convergence_table(
+            spec, "mu", mu_values, n_values, family=family, mode=mode, samples=400
+        )
+        expected = np.empty((len(mu_values), len(n_values)))
+        for j, mu in enumerate(mu_values):
+            row_spec = builtin_example(example, epsilon=1e-6, mu=mu)
+            regime = derive_regime(row_spec, 400)
+            for k, n in enumerate(n_values):
+                mesh = build_mesh(family, regime, n, row_spec.d)
+                expected[j, k], _, _ = double_mesh_error(row_spec, mesh, mode, regime)
+        assert table.errors.tobytes() == expected.tobytes(), mode
+        assert np.all(np.isfinite(table.errors)), mode
 
 
 def _count_solves(monkeypatch):

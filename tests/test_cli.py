@@ -189,6 +189,28 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_rejects_mesh_flag(tmp_path, capsys):
+    # compare always runs both layer-adapted families; --mesh would be ignored
+    assert run(["compare", "--problem", "ex1", "--epsilon", "1e-8",
+                "--mu-range", "1e-8", "--n", "64,128", "--mesh", "uniform"], tmp_path) == 2
+    assert "unrecognized arguments: --mesh uniform" in capsys.readouterr().err
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mu-range", "1e-3:1e-9"),
+    ("--epsilon-range", "1e-2:1e-4"),
+    ("--double-mesh", "regenerate"),
+])
+def test_manufactured_rejects_sweep_flags(tmp_path, capsys, flag, value):
+    # manufactured solves one (epsilon, mu) with true errors; these would be ignored
+    assert run(["manufactured", "--problem", "ex1", "--epsilon", "1e-2", "--mu", "1e-2",
+                "--n", "64,128", "--exact", "x", "--exact-d1", "1", "--exact-d2", "0",
+                flag, value], tmp_path) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "manufactured.csv").exists()
+
+
 
 def test_layer_below_float_spacing_names_the_cause(tmp_path, capsys):
     # the interface layer width (~3e-19) is below the spacing of floats at d = 0.5
@@ -205,6 +227,18 @@ def test_write_atomic_streams_chunks(tmp_path):
     target = tmp_path / "out.csv"
     write_atomic(target, (f"{i}\n" for i in range(3)))
     assert target.read_text() == "0\n1\n2\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_atomic_mode_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_atomic(tmp_path / "text.csv", "a\n")
+        write_atomic(tmp_path / "chunks.csv", iter(["a\n"]))
+    finally:
+        os.umask(old)
+    for name in ("text.csv", "chunks.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
 
 
 def test_write_atomic_failed_chunks_leave_target(tmp_path):

@@ -1,4 +1,8 @@
-"""Parser and evaluator tests, including round-trip and fuzz properties."""
+"""Parser and evaluator tests, including round-trip and fuzz properties.
+
+Single points are evaluated as one-point arrays: ``evaluate_array`` is the
+one evaluator.
+"""
 
 import math
 
@@ -17,57 +21,61 @@ from splayer.expressions import (
     Num,
     UnknownIdentifierError,
     Var,
-    evaluate,
     evaluate_array,
     parse,
     unparse,
 )
 
 
+def at(expression, x: float) -> float:
+    """Value of ``expression`` at one point."""
+    return float(evaluate_array(expression, np.array([x]))[0])
+
+
 def test_example_source_terms():
-    assert evaluate(parse("-(14*x+1)"), 0.5) == -8.0
-    assert evaluate(parse("2+x^2"), 1.0) == 3.0
-    assert evaluate(parse("2-2*x"), 1.0) == 0.0
+    assert at(parse("-(14*x+1)"), 0.5) == -8.0
+    assert at(parse("2+x^2"), 1.0) == 3.0
+    assert at(parse("2-2*x"), 1.0) == 0.0
 
 
 def test_identity_and_constants():
-    assert evaluate(parse("x"), 0.25) == 0.25
-    assert evaluate(parse("pi"), 0.0) == math.pi
-    assert evaluate(parse("e"), 0.0) == math.e
+    assert at(parse("x"), 0.25) == 0.25
+    assert at(parse("pi"), 0.0) == math.pi
+    assert at(parse("e"), 0.0) == math.e
 
 
 def test_power_right_associative():
-    assert evaluate(parse("2^3^2"), 0.0) == 512.0
+    assert at(parse("2^3^2"), 0.0) == 512.0
 
 
 def test_power_binds_tighter_than_unary_minus():
-    assert evaluate(parse("-2^2"), 0.0) == -4.0
-    assert evaluate(parse("2^-2"), 0.0) == 0.25
+    assert at(parse("-2^2"), 0.0) == -4.0
+    assert at(parse("2^-2"), 0.0) == 0.25
 
 
 def test_precedence_and_whitespace():
-    assert evaluate(parse(" 1 + 2*3 ^ 2 "), 0.0) == 19.0
-    assert evaluate(parse("(1+2)*3"), 0.0) == 9.0
-    assert evaluate(parse("4/2/2"), 0.0) == 1.0  # left associative
-    assert evaluate(parse("1-2-3"), 0.0) == -4.0
+    assert at(parse(" 1 + 2*3 ^ 2 "), 0.0) == 19.0
+    assert at(parse("(1+2)*3"), 0.0) == 9.0
+    assert at(parse("4/2/2"), 0.0) == 1.0  # left associative
+    assert at(parse("1-2-3"), 0.0) == -4.0
 
 
 def test_functions():
-    assert evaluate(parse("sin(0)"), 0.0) == 0.0
-    assert evaluate(parse("exp(log(2))"), 0.0) == pytest.approx(2.0, rel=1e-15)
-    assert evaluate(parse("abs(-3)"), 0.0) == 3.0
-    assert evaluate(parse("sqrt(x)"), 4.0) == 2.0
+    assert at(parse("sin(0)"), 0.0) == 0.0
+    assert at(parse("exp(log(2))"), 0.0) == pytest.approx(2.0, rel=1e-15)
+    assert at(parse("abs(-3)"), 0.0) == 3.0
+    assert at(parse("sqrt(x)"), 4.0) == 2.0
 
 
 def test_domain_violation_reports_x():
     with pytest.raises(EvaluationError) as err:
-        evaluate(parse("sqrt(x)"), -1.0)
+        at(parse("sqrt(x)"), -1.0)
     assert err.value.x == -1.0
 
 
 def test_division_by_zero_is_evaluation_error():
     with pytest.raises(EvaluationError):
-        evaluate(parse("1/x"), 0.0)
+        at(parse("1/x"), 0.0)
 
 
 def test_syntax_error_carries_offset():
@@ -98,10 +106,12 @@ def test_unexpected_character():
 
 
 def test_evaluate_array_matches_scalar():
-    expr = parse("sin(x) + x^2")
-    xs = np.linspace(-2.0, 2.0, 17)
-    values = evaluate_array(expr, xs)
-    assert values == pytest.approx([evaluate(expr, x) for x in xs])
+    # a whole-array evaluation equals the one-point evaluations bit for bit
+    for source in ("sin(x) + x^2", "-(14*x+1)", "exp(-abs(x)/0.001)", "2+x^2", "4"):
+        expr = parse(source)
+        xs = np.linspace(-2.0, 2.0, 17)
+        per_point = np.array([at(expr, x) for x in xs])
+        assert evaluate_array(expr, xs).tobytes() == per_point.tobytes(), source
 
 
 def test_evaluate_array_reports_first_bad_point():
@@ -143,7 +153,7 @@ def test_extra_parentheses_are_neutral(tree):
 @settings(max_examples=300, deadline=None)
 def test_fuzz_evaluation_never_crashes(tree, x):
     try:
-        value = evaluate(tree, x)
+        value = at(tree, x)
     except EvaluationError:
         return
     assert math.isfinite(value)

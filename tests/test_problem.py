@@ -11,6 +11,7 @@ from splayer import (
     ProblemSpec,
     builtin_example,
     derive_regime,
+    evaluate_array,
     load_problem,
     parse,
     problem_from_dict,
@@ -126,23 +127,33 @@ def test_overrides_take_precedence():
     assert regime.alpha1 == 2.0  # still sampled
 
 
+def test_coefficients_must_be_expressions():
+    good = builtin_example("ex1")
+    for name in ("a_left", "a_right", "b", "f_left", "f_right"):
+        with pytest.raises(TypeError, match=f"^{name} must be an Expression"):
+            replace(good, **{name: lambda x: 1.0})
+    with pytest.raises(TypeError, match="got str"):
+        replace(good, b="1")
+
+
 def test_unknown_override_key_rejected():
     with pytest.raises(ValueError):
         replace(builtin_example("ex1"), overrides={"beta": 1.0})
 
 
 def test_builtin_example_values():
-    ex1 = builtin_example("ex1")
-    from splayer.problem import eval_coefficient
+    def at(expression, x):
+        return float(evaluate_array(expression, [x])[0])
 
-    assert eval_coefficient(ex1.f_left, 0.3) == -1.0
-    assert eval_coefficient(ex1.a_left, 0.1) == -2.0
+    ex1 = builtin_example("ex1")
+    assert at(ex1.f_left, 0.3) == -1.0
+    assert at(ex1.a_left, 0.1) == -2.0
     assert (ex1.y0, ex1.y1, ex1.d) == (2.0, 1.0, 0.5)
 
     ex2 = builtin_example("ex2")
-    assert eval_coefficient(ex2.a_right, 1.0) == 3.0
-    assert eval_coefficient(ex2.f_right, 1.0) == 0.0
-    assert eval_coefficient(ex2.f_left, 0.5) == -8.0
+    assert at(ex2.a_right, 1.0) == 3.0
+    assert at(ex2.f_right, 1.0) == 0.0
+    assert at(ex2.f_left, 0.5) == -8.0
     assert (ex2.y0, ex2.y1) == (0.0, -1.0)
 
 

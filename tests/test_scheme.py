@@ -13,12 +13,12 @@ from splayer import (
     builtin_example,
     check_m_matrix,
     derive_regime,
+    evaluate_array,
     parse,
     shishkin_bakhvalov_mesh,
     solve_thomas,
     uniform_mesh,
 )
-from splayer.problem import coefficient_values
 
 
 def _system(epsilon=1e-6, mu=1e-10, n=64, example="ex1"):
@@ -42,7 +42,7 @@ def test_constant_probe_recovers_reaction_coefficient():
     result = apply_operator(system, ones)
     m = mesh.d_index
     interior = np.r_[1:m, m + 1 : system.n]
-    b_vals = coefficient_values(spec.b, mesh.points[interior])
+    b_vals = evaluate_array(spec.b, mesh.points[interior])
     scale = np.abs(system.diag) + np.abs(system.lower) + np.abs(system.upper)
     np.testing.assert_allclose(
         (result[interior] - b_vals) / scale[interior], 0.0, atol=1e-12
@@ -120,7 +120,7 @@ def test_check_m_matrix_on_paper_problems():
 
 def test_check_m_matrix_zero_reaction_is_nonstrict():
     spec = builtin_example("ex1", epsilon=1e-4, mu=1e-4)
-    spec = replace(spec, b=lambda x: 0.0 * x)
+    spec = replace(spec, b=parse("0"))
     system = assemble(spec, uniform_mesh(16, spec.d))
     report = check_m_matrix(system)
     assert report.is_sign_valid
