@@ -69,7 +69,7 @@ class RunConfig:
     sweep_param: str | None  # "mu" or "epsilon" for sweeps, None otherwise
     sweep_values: tuple[float, ...]
     n_values: tuple[int, ...]
-    family: MeshFamily
+    families: tuple[MeshFamily, ...]  # one, except for compare
     output: Path
     fmt: str  # csv | md
     plot: bool
@@ -253,7 +253,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     plot = getattr(args, "plot", False)
     markers = getattr(args, "markers", False)
     double_mesh = getattr(args, "double_mesh", "bisect")
-    family = _FAMILIES[getattr(args, "mesh", "sb")]
+    # compare has no --mesh: it always runs both layer-adapted families
+    families = _COMPARED_FAMILIES if args.subcommand == "compare" else (_FAMILIES[args.mesh],)
 
     if sweeping:
         if args.epsilon_range is not None and args.mu_range is not None:
@@ -308,7 +309,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         sweep_param=sweep_param,
         sweep_values=sweep_values,
         n_values=n_values,
-        family=family,
+        families=families,
         output=output,
         fmt=fmt,
         plot=plot,
@@ -344,7 +345,7 @@ def _mesh_csv(mesh: Mesh) -> Iterator[str]:
 
 def _run_solve(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
-    mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
+    mesh = build_mesh(config.families[0], regime, config.n_values[0], config.spec.d)
     solution = analysis.solve_on_mesh(config.spec, mesh)
     lines = ["i,x,Y"]
     for start in range(0, mesh.n + 1, _CSV_CHUNK):
@@ -383,13 +384,13 @@ def _sweep(config: RunConfig, family: MeshFamily) -> analysis.ConvergenceTable:
 
 
 def _run_converge(config: RunConfig) -> None:
-    table = _sweep(config, config.family)
+    table = _sweep(config, config.families[0])
     text = analysis.table_to_markdown(table) if config.fmt == "md" else analysis.table_to_csv(table)
     write_atomic(config.output, text)
 
 
 def _run_compare(config: RunConfig) -> None:
-    tables = [_sweep(config, family) for family in _COMPARED_FAMILIES]
+    tables = [_sweep(config, family) for family in config.families]
     text = (
         analysis.comparison_to_markdown(tables)
         if config.fmt == "md"
@@ -400,7 +401,7 @@ def _run_compare(config: RunConfig) -> None:
 
 def _run_mesh(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
-    mesh = build_mesh(config.family, regime, config.n_values[0], config.spec.d)
+    mesh = build_mesh(config.families[0], regime, config.n_values[0], config.spec.d)
     write_atomic(config.output, _mesh_csv(mesh))
 
 
@@ -412,7 +413,7 @@ def _run_manufactured(config: RunConfig) -> None:
         exact_d1,
         exact_d2,
         config.n_values,
-        family=config.family,
+        family=config.families[0],
         samples=config.samples,
     )
     text = analysis.table_to_markdown(table) if config.fmt == "md" else analysis.table_to_csv(table)

@@ -1,11 +1,14 @@
 """Layer-adapted meshes on [0, 1] with a pinned interior interface node.
 
-Three families are provided.  The graded family packs nodes into the four
-layer regions by inverting the layer exponentials (the node map keeps
-``exp(-theta * distance) `` affine in the node index), the piecewise-uniform
-family uses the same transition widths with uniform sub-meshes, and a
-plain two-block uniform mesh serves as a baseline.  All families place the
-interface node exactly at ``d`` with index ``n // 2``.
+One builder makes both layer-adapted families.  It splits [0, 1] into six
+regions with the same transition widths and pinned junctions, and lays
+each of the four layer regions out as offsets from its anchor (0, d, d or
+1).  The graded family's offsets invert the layer exponentials (the node
+map keeps ``exp(-theta * offset / 8)`` affine in the node index); the
+piecewise-uniform Shishkin family is the same mesh with grading off, so
+its offsets are uniform.  A plain two-block uniform mesh serves as a
+baseline.  All families place the interface node exactly at ``d`` with
+index ``n // 2``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,29 @@ def _check_layer_n(n: int) -> None:
         )
 
 
+def _widths(
+    regime: RegimeData, n: int, d: float
+) -> tuple[tuple[float, float, float, float], tuple[bool, bool, bool, bool]]:
+    """Clamped transition widths, and whether each region kept its raw width."""
+    _check_layer_n(n)
+    ln_n = math.log(n)
+    outer = 4.0 / regime.theta2 * ln_n
+    inner = 4.0 / regime.theta1 * ln_n
+    raw = (outer, inner, inner, outer)
+    caps = (d / 4.0, d / 4.0, (1.0 - d) / 4.0, (1.0 - d) / 4.0)
+    sigma = tuple(min(width, cap) for width, cap in zip(raw, caps))
+    kept = tuple(s == width for s, width in zip(sigma, raw))
+    if not all(kept):
+        clamped = [f"sigma{i}" for i, keep in enumerate(kept, 1) if not keep]
+        warnings.warn(
+            f"transition widths clamped to quarter regions ({', '.join(clamped)}); "
+            f"the layers are resolvable by a uniform mesh at n = {n}",
+            TransitionClampWarning,
+            stacklevel=3,
+        )
+    return sigma, kept
+
+
 def transition_points(
     regime: RegimeData, n: int, d: float
 ) -> tuple[float, float, float, float]:
@@ -107,120 +133,54 @@ def transition_points(
     assumptions behind the graded construction do not hold at this ``n``;
     it is reported through :class:`TransitionClampWarning`.
     """
-    _check_layer_n(n)
-    ln_n = math.log(n)
-    outer = 4.0 / regime.theta2 * ln_n
-    inner = 4.0 / regime.theta1 * ln_n
-    sigma1 = min(outer, d / 4.0)
-    sigma2 = min(inner, d / 4.0)
-    sigma3 = min(inner, (1.0 - d) / 4.0)
-    sigma4 = min(outer, (1.0 - d) / 4.0)
-    clamped = [
-        name
-        for name, value, raw in (
-            ("sigma1", sigma1, outer),
-            ("sigma2", sigma2, inner),
-            ("sigma3", sigma3, inner),
-            ("sigma4", sigma4, outer),
-        )
-        if value != raw
-    ]
-    if clamped:
-        warnings.warn(
-            f"transition widths clamped to quarter regions ({', '.join(clamped)}); "
-            f"the layers are resolvable by a uniform mesh at n = {n}",
-            TransitionClampWarning,
-            stacklevel=2,
-        )
-    return (sigma1, sigma2, sigma3, sigma4)
+    return _widths(regime, n, d)[0]
+
+
+def _layer_adapted_mesh(family: MeshFamily, regime: RegimeData, n: int, d: float) -> Mesh:
+    """Six regions of n/8, n/4, n/8 | n/8, n/4, n/8 intervals.
+
+    Each layer region is ``anchor +- offsets(k)``, k = 1 .. n/8 - 1, about
+    its anchor 0, d, d or 1.  The graded family inverts the layer
+    exponential there (``exp(-theta * offset / 8)`` is affine in k); a
+    Shishkin mesh, or a region whose width was clamped, takes uniform
+    offsets: the clamp means the layer is already resolvable at uniform
+    spacing, and rescaled grading would still leave near-root(n) coarse
+    steps.  Junctions and the interface take their closed-form values, so
+    they are exact bitwise.
+    """
+    sigma, kept = _widths(regime, n, d)
+    s1, s2, s3, s4 = sigma
+    n8, n4 = n // 8, n // 4
+    k = np.arange(1, n8)
+    j = np.arange(1, n4)
+    r = 1.0 / math.sqrt(n)
+    thetas = (regime.theta2, regime.theta1, regime.theta1, regime.theta2)
+
+    def offsets(region: int) -> np.ndarray:
+        if family is MeshFamily.SHISHKIN_BAKHVALOV and kept[region]:
+            return -(8.0 / thetas[region]) * np.log(1.0 + (8.0 * k / n) * (r - 1.0))
+        return sigma[region] * k / n8
+
+    points = np.concatenate((
+        [0.0], offsets(0),
+        [s1], s1 + (d - s1 - s2) * j / n4,
+        [d - s2], d - offsets(1)[::-1],
+        [d], d + offsets(2),
+        [d + s3], (d + s3) + (1.0 - d - s3 - s4) * j / n4,
+        [1.0 - s4], 1.0 - offsets(3)[::-1],
+        [1.0],
+    ))
+    return Mesh(points, n, n // 2, family, sigma)
 
 
 def shishkin_bakhvalov_mesh(regime: RegimeData, n: int, d: float) -> Mesh:
-    """Graded mesh: four layer regions inverting the layer exponentials.
-
-    Node counts per region: n/8, n/4, n/8, n/8, n/4, n/8 intervals.  Region
-    junctions and the interface are assigned their closed-form values
-    directly so they are exact bitwise.  A region whose transition width was
-    clamped carries a uniform submesh instead of the graded formula: the
-    clamp means the layer is already resolvable at uniform spacing, and
-    rescaled grading there would still leave near-root(n) coarse steps.
-    """
-    sigma = transition_points(regime, n, d)
-    s1, s2, s3, s4 = sigma
-    ln_n = math.log(n)
-    outer = 4.0 / regime.theta2 * ln_n
-    inner = 4.0 / regime.theta1 * ln_n
-
-    n8, n4, n2 = n // 8, n // 4, n // 2
-    r = 1.0 / math.sqrt(n)
-    points = np.empty(n + 1)
-
-    i = np.arange(1, n8)
-    if s1 == outer:
-        points[i] = -(8.0 / regime.theta2) * np.log(1.0 + (8.0 * i / n) * (r - 1.0))
-    else:
-        points[i] = s1 * i / n8
-    points[0] = 0.0
-    points[n8] = s1
-
-    j = np.arange(1, n4)
-    points[n8 + j] = s1 + (d - s1 - s2) * j / n4
-    points[3 * n8] = d - s2
-
-    i = np.arange(3 * n8 + 1, n2)
-    if s2 == inner:
-        points[i] = d + (8.0 / regime.theta1) * np.log(
-            (8.0 * i / n) * (1.0 - r) + 4.0 * r - 3.0
-        )
-    else:
-        points[i] = (d - s2) + s2 * (i - 3 * n8) / n8
-    points[n2] = d
-
-    i = np.arange(n2 + 1, 5 * n8)
-    if s3 == inner:
-        points[i] = d - (8.0 / regime.theta1) * np.log(
-            (8.0 * i / n) * (r - 1.0) + 5.0 - 4.0 * r
-        )
-    else:
-        points[i] = d + s3 * (i - n2) / n8
-    points[5 * n8] = d + s3
-
-    j = np.arange(1, n4)
-    points[5 * n8 + j] = (d + s3) + (1.0 - d - s3 - s4) * j / n4
-    points[7 * n8] = 1.0 - s4
-
-    i = np.arange(7 * n8 + 1, n)
-    if s4 == outer:
-        points[i] = 1.0 + (8.0 / regime.theta2) * np.log(
-            (8.0 * i / n) * (1.0 - r) + 8.0 * r - 7.0
-        )
-    else:
-        points[i] = (1.0 - s4) + s4 * (i - 7 * n8) / n8
-    points[n] = 1.0
-
-    return Mesh(points, n, n2, MeshFamily.SHISHKIN_BAKHVALOV, sigma)
+    """Graded mesh: four layer regions inverting the layer exponentials."""
+    return _layer_adapted_mesh(MeshFamily.SHISHKIN_BAKHVALOV, regime, n, d)
 
 
 def shishkin_mesh(regime: RegimeData, n: int, d: float) -> Mesh:
-    """Piecewise-uniform mesh with the same transition widths.
-
-    Each of the four layer regions carries n/8 uniform intervals and each
-    outer region n/4; the comparison baseline for the graded family.
-    """
-    sigma = transition_points(regime, n, d)
-    s1, s2, s3, s4 = sigma
-    n8, n4 = n // 8, n // 4
-    segments = (
-        (0.0, s1, n8),
-        (s1, d - s2, n4),
-        (d - s2, d, n8),
-        (d, d + s3, n8),
-        (d + s3, 1.0 - s4, n4),
-        (1.0 - s4, 1.0, n8),
-    )
-    pieces = [np.linspace(lo, hi, count + 1) for lo, hi, count in segments]
-    points = np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
-    return Mesh(points, n, n // 2, MeshFamily.SHISHKIN, sigma)
+    """Piecewise-uniform baseline: the graded mesh's widths, without grading."""
+    return _layer_adapted_mesh(MeshFamily.SHISHKIN, regime, n, d)
 
 
 def uniform_mesh(n: int, d: float) -> Mesh:
@@ -248,9 +208,7 @@ def build_mesh(family: MeshFamily, regime: RegimeData | None, n: int, d: float) 
         return uniform_mesh(n, d)
     if regime is None:
         raise ValueError(f"{family.value} mesh construction needs regime data")
-    if family is MeshFamily.SHISHKIN:
-        return shishkin_mesh(regime, n, d)
-    return shishkin_bakhvalov_mesh(regime, n, d)
+    return _layer_adapted_mesh(family, regime, n, d)
 
 
 _LAYER_REGIONS = (

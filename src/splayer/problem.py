@@ -85,14 +85,18 @@ class ProblemSpec:
                 )
         if not 0.0 < self.d < 1.0:
             raise ValueError(f"d must lie in (0, 1), got {self.d}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        for name in ("y0", "y1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        positive = [("epsilon", self.epsilon), ("mu", self.mu)]
         if self.overrides:
             unknown = set(self.overrides) - set(OVERRIDE_KEYS)
             if unknown:
                 raise ValueError(f"unknown override keys: {sorted(unknown)}")
+            positive += [(f"override {k}", v) for k, v in self.overrides.items()]
+        for name, value in positive:
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -248,19 +252,7 @@ def builtin_example(name: str, epsilon: float = 1.0e-6, mu: float = 1.0e-6) -> P
     key = name.lower()
     if key not in _BUILTINS:
         raise ValueError(f"unknown built-in problem {name!r}; choose from ex1, ex2")
-    data = _BUILTINS[key]
-    return ProblemSpec(
-        a_left=parse(data["a_left"]),
-        a_right=parse(data["a_right"]),
-        b=parse(data["b"]),
-        f_left=parse(data["f_left"]),
-        f_right=parse(data["f_right"]),
-        d=data["d"],
-        y0=data["y0"],
-        y1=data["y1"],
-        epsilon=epsilon,
-        mu=mu,
-    )
+    return problem_from_dict({**_BUILTINS[key], "epsilon": epsilon, "mu": mu})
 
 
 _REQUIRED_JSON_KEYS = (

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import splayer
-from splayer.cli import main, write_atomic
+from splayer.cli import _build_parser, build_config, main, write_atomic
+from splayer.mesh import MeshFamily
 
 
 def run(args, cwd):
@@ -181,6 +183,51 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert run(["solve", "--problem", "ex1", "--epsilon", "1e-320",
                 "--mu", "1e-10", "--n", "64"], tmp_path) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+_EX1_DOC = {
+    "a_left": "-2", "a_right": "2", "b": "1", "f_left": "-1", "f_right": "1",
+    "d": 0.5, "y0": 2.0, "y1": 1.0, "epsilon": 1.0, "mu": 1.0,
+}
+
+
+@pytest.mark.parametrize("epsilon, mu, doc, message", [
+    ("nan", "1e-6", None, "epsilon must be finite and positive, got nan"),
+    ("inf", "1e-6", None, "epsilon must be finite and positive, got inf"),
+    ("1e-8", "nan", None, "mu must be finite and positive, got nan"),
+    ("1e-8", "inf", None, "mu must be finite and positive, got inf"),
+    ("1e-8", "1e-6", {"y0": math.nan}, "y0 must be finite, got nan"),
+    ("1e-8", "1e-6", {"y1": -math.inf}, "y1 must be finite, got -inf"),
+    ("1e-8", "1e-6", {"overrides": {"rho": math.nan}},
+     "override rho must be finite and positive, got nan"),
+    ("1e-8", "1e-6", {"overrides": {"gamma": 0.0}},
+     "override gamma must be finite and positive, got 0.0"),
+], ids=["epsilon-nan", "epsilon-inf", "mu-nan", "mu-inf", "y0-nan", "y1-inf",
+        "override-nan", "override-zero"])
+def test_non_finite_input_exits_2_naming_the_field(tmp_path, capsys, epsilon, mu, doc, message):
+    problem = "ex1"
+    if doc is not None:
+        problem = str(tmp_path / "problem.json")
+        Path(problem).write_text(json.dumps({**_EX1_DOC, **doc}))
+    assert run(["solve", "--problem", problem, "--epsilon", epsilon, "--mu", mu,
+                "--n", "64"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "numerical failure" not in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("argv, families", [
+    (["compare", "--mu-range", "1e-4:1e-6"],
+     (MeshFamily.SHISHKIN, MeshFamily.SHISHKIN_BAKHVALOV)),
+    (["converge", "--mu-range", "1e-4:1e-6"], (MeshFamily.SHISHKIN_BAKHVALOV,)),
+    (["converge", "--mu-range", "1e-4:1e-6", "--mesh", "shishkin"], (MeshFamily.SHISHKIN,)),
+], ids=["compare", "converge-default", "converge-shishkin"])
+def test_build_config_records_the_families_run(argv, families):
+    args = _build_parser().parse_args(
+        argv + ["--problem", "ex1", "--epsilon", "1e-8", "--n", "64:128"]
+    )
+    assert build_config(args).families == families
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):

@@ -69,18 +69,25 @@ def test_graded_first_node():
     assert mesh.points[1] == pytest.approx(0.0018533090484019472, rel=1e-13)
 
 
+# (epsilon, mu) with all four widths clamped at every n >= 16
+_CLAMPED = (1e-1, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
 def test_junctions_are_pinned_bitwise():
-    regime = _regime(1e-6, 1e-10)
-    for n in (16, 64, 256):
-        mesh = shishkin_bakhvalov_mesh(regime, n, 0.5)
-        s1, s2, s3, s4 = mesh.sigma
-        assert mesh.points[0] == 0.0
-        assert mesh.points[n // 8] == s1
-        assert mesh.points[3 * n // 8] == 0.5 - s2
-        assert mesh.points[n // 2] == 0.5
-        assert mesh.points[5 * n // 8] == 0.5 + s3
-        assert mesh.points[7 * n // 8] == 1.0 - s4
-        assert mesh.points[n] == 1.0
+    for epsilon, mu in ((1e-6, 1e-10), _CLAMPED):
+        regime = _regime(epsilon, mu)
+        for build in (shishkin_bakhvalov_mesh, shishkin_mesh):
+            for n in (16, 24, 64, 200, 256):
+                mesh = build(regime, n, 0.5)
+                s1, s2, s3, s4 = mesh.sigma
+                assert mesh.points[0] == 0.0
+                assert mesh.points[n // 8] == s1
+                assert mesh.points[3 * n // 8] == 0.5 - s2
+                assert mesh.points[n // 2] == 0.5
+                assert mesh.points[5 * n // 8] == 0.5 + s3
+                assert mesh.points[7 * n // 8] == 1.0 - s4
+                assert mesh.points[n] == 1.0
 
 
 def _graded_regions(mesh):
@@ -104,7 +111,7 @@ def _graded_regions(mesh):
 def test_characterizing_functions_are_affine():
     # exp(-theta * distance-to-anchor / 8) must interpolate the affine span
     regime = _regime(1e-6, 1e-10)
-    for n in (16, 64, 512):
+    for n in (16, 64, 128, 200, 512):
         mesh = shishkin_bakhvalov_mesh(regime, n, 0.5)
         ln_n = math.log(n)
         for idx, sigma, target, anchor in _graded_regions(mesh):
@@ -117,7 +124,7 @@ def test_graded_step_bound():
     # h_i * theta_eff <= 8 inside every layer region
     for epsilon, mu in ((1e-6, 1e-10), (1e-12, 1e-4), (1e-8, 1e-8)):
         regime = _regime(epsilon, mu)
-        for n in (16, 64, 256):
+        for n in (16, 64, 128, 200, 256):
             mesh = shishkin_bakhvalov_mesh(regime, n, 0.5)
             h = mesh.steps()
             ln_n = math.log(n)
@@ -137,12 +144,24 @@ def test_monotone_over_random_draws():
 
 
 def test_shishkin_layer_regions_are_uniform():
-    regime = _regime(1e-6, 1e-10)
+    regime = _regime(1e-6, 1e-3)  # case two: theta1 = 1000, theta2 = 250
     mesh = shishkin_mesh(regime, 64, 0.5)
     h = mesh.steps()
-    s1 = mesh.sigma[0]
-    np.testing.assert_allclose(h[:8], s1 / 8.0, rtol=1e-12)
+    for (lo, hi), sigma in zip(((0, 8), (24, 32), (32, 40), (56, 64)), mesh.sigma):
+        np.testing.assert_allclose(h[lo:hi], sigma / 8.0, rtol=1e-12)
     assert mesh.points[32] == 0.5
+
+
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
+@pytest.mark.parametrize("d", [0.5, 0.3])
+def test_clamped_graded_mesh_is_the_shishkin_mesh(d):
+    # with every width clamped there is no grading left to switch off
+    regime = _regime(*_CLAMPED)
+    for n in (16, 24, 64, 200):
+        graded = shishkin_bakhvalov_mesh(regime, n, d)
+        uniform = shishkin_mesh(regime, n, d)
+        assert graded.sigma == uniform.sigma == (d / 4, d / 4, (1 - d) / 4, (1 - d) / 4)
+        assert np.array_equal(graded.points.view(np.int64), uniform.points.view(np.int64))
 
 
 def test_shishkin_matches_paper_comparison_shape():
