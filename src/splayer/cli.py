@@ -2,15 +2,18 @@
 
 Exit status: 0 on success, 2 on configuration errors (flags, problem
 files, ranges), 3 on numerical failures (pivot breakdown, non-finite
-coefficients, singular systems).
+coefficients, singular systems) and on mesh sizes whose arrays do not fit
+in memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -22,7 +25,7 @@ import numpy as np
 from . import analysis
 from .expressions import EvaluationError, ExpressionSyntaxError, parse
 from .linalg import PivotError
-from .mesh import Mesh, MeshFamily, build_mesh, node_regions
+from .mesh import MeshFamily, build_mesh, node_regions
 from .problem import (
     DEFAULT_SAMPLES,
     ProblemSpec,
@@ -52,10 +55,16 @@ _DEFAULT_OUTPUT = {
 }
 
 
-# rows of a solve or mesh CSV formatted from one slice of float lists; the
-# mesh CSV also writes each chunk as it goes, which at n = 2^20 holds
-# ~100 MB less at the peak than one joined string
+# rows of a solve or mesh CSV formatted from one slice of float lists and
+# written as one chunk; at n = 2^20 streaming the chunks holds ~100 MB less
+# at the peak than one joined string
 _CSV_CHUNK = 4096
+
+# a solve or mesh CSV of at least this many rows is formatted in two
+# processes (see _write_csv); on an idle 2 vCPU host the fork pays from
+# ~2^12 rows, but below 2^16 it saves under ~20 ms and a busy host turns
+# that into a loss
+_FORK_ROWS = 1 << 16
 
 
 class CLIError(Exception):
@@ -327,38 +336,89 @@ def _check_problem(config: RunConfig) -> None:
         raise CLIError(f"problem data violates the sign hypotheses:\n  {details}")
 
 
-def _mesh_csv(mesh: Mesh) -> Iterator[str]:
-    steps, regions = mesh.steps(), node_regions(mesh)
-    yield f"i,x_i,h_i,region\n0,{float(mesh.points[0])!r},,{regions[0]}\n"
-    for start in range(1, mesh.n + 1, _CSV_CHUNK):
-        stop = start + _CSV_CHUNK
-        yield "".join([
-            f"{i},{x!r},{h!r},{region}\n"
-            for i, x, h, region in zip(
-                range(start, stop),
-                mesh.points[start:stop].tolist(),
-                steps[start - 1:stop - 1].tolist(),
-                regions[start:stop],
+def _csv_chunks(format_rows, start: int, stop: int) -> Iterator[str]:
+    for chunk in range(start, stop, _CSV_CHUNK):
+        yield format_rows(chunk, min(chunk + _CSV_CHUNK, stop))
+
+
+def _on_two_cores() -> bool:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
+def _write_csv(path: Path, head: str, first: int, stop: int, format_rows) -> None:
+    """Write ``head``, then rows [first, stop) as ``format_rows(start, stop)`` gives them.
+
+    With at least ``_FORK_ROWS`` rows and two cores to run on, a forked
+    child formats the upper half of the rows into a temp file beside the
+    output while this process writes the lower half through
+    ``write_atomic``, then waits for the child and appends its file.  Both
+    halves use the same formatter, so the bytes are those of the serial
+    write.  The child only formats and writes its own file, and leaves
+    through ``os._exit``, so it flushes no inherited stdio and never returns
+    into the caller.  It is reaped on every path (killed first if this
+    process fails), no temp file outlives the call, and on failure the old
+    target stays in place.
+    """
+    path = Path(path)
+    if stop - first < _FORK_ROWS or not _on_two_cores():
+        write_atomic(path, itertools.chain([head], _csv_chunks(format_rows, first, stop)))
+        return
+    half = (first + stop) // 2
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tail_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
+    pid, reaped = None, False
+
+    def chunks():
+        nonlocal reaped
+        yield head
+        yield from _csv_chunks(format_rows, first, half)
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if status:
+            raise OSError(
+                f"formatting rows {half}..{stop - 1} of {path} failed in a child "
+                f"process (exit status {os.waitstatus_to_exitcode(status)})"
             )
-        ])
+        with open(tail_name, encoding="utf-8") as tail:
+            yield from iter(lambda: tail.read(1 << 20), "")
+
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with open(tail_name, "w", encoding="utf-8") as tail:
+                    tail.writelines(_csv_chunks(format_rows, half, stop))
+                status = 0
+            except BaseException as err:
+                os.write(2, f"splayer: formatting rows {half}..{stop - 1}: {err!r}\n".encode())
+            finally:
+                os._exit(status)
+        write_atomic(path, chunks())
+    finally:
+        if pid and not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.unlink(tail_name)
 
 
 def _run_solve(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
     mesh = build_mesh(config.families[0], regime, config.n_values[0], config.spec.d)
     solution = analysis.solve_on_mesh(config.spec, mesh)
-    lines = ["i,x,Y"]
-    for start in range(0, mesh.n + 1, _CSV_CHUNK):
-        stop = start + _CSV_CHUNK
-        lines += [
-            f"{i},{x!r},{y!r}"
-            for i, x, y in zip(
-                range(start, stop),
-                mesh.points[start:stop].tolist(),
-                solution.y[start:stop].tolist(),
+    points, y = mesh.points, solution.y
+
+    def rows(start: int, stop: int) -> str:
+        return "".join([
+            f"{i},{x!r},{v!r}\n"
+            for i, x, v in zip(
+                range(start, stop), points[start:stop].tolist(), y[start:stop].tolist()
             )
-        ]
-    write_atomic(config.output, "\n".join(lines) + "\n")
+        ])
+
+    _write_csv(config.output, "i,x,Y\n", 0, mesh.n + 1, rows)
     if config.plot:
         svg = polyline_plot(
             mesh.points.tolist(),
@@ -402,7 +462,21 @@ def _run_compare(config: RunConfig) -> None:
 def _run_mesh(config: RunConfig) -> None:
     regime = derive_regime(config.spec, config.samples)
     mesh = build_mesh(config.families[0], regime, config.n_values[0], config.spec.d)
-    write_atomic(config.output, _mesh_csv(mesh))
+    points, steps, regions = mesh.points, mesh.steps(), node_regions(mesh)
+
+    def rows(start: int, stop: int) -> str:
+        return "".join([
+            f"{i},{x!r},{h!r},{region}\n"
+            for i, x, h, region in zip(
+                range(start, stop),
+                points[start:stop].tolist(),
+                steps[start - 1:stop - 1].tolist(),
+                regions[start:stop],
+            )
+        ])
+
+    head = f"i,x_i,h_i,region\n0,{float(points[0])!r},,{regions[0]}\n"
+    _write_csv(config.output, head, 1, mesh.n + 1, rows)
 
 
 def _run_manufactured(config: RunConfig) -> None:
@@ -445,6 +519,10 @@ def main(argv=None) -> int:
         _RUNNERS[config.subcommand](config)
     except (PivotError, EvaluationError, np.linalg.LinAlgError, ArithmeticError, ValueError) as err:
         print(f"splayer: numerical failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"splayer: {config.subcommand} --n {args.n} does not fit in memory: {err}",
+              file=sys.stderr)
         return 3
     return 0
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import splayer
+import splayer.cli as cli
 from splayer.cli import _build_parser, build_config, main, write_atomic
 from splayer.mesh import MeshFamily
 
@@ -300,6 +301,92 @@ def test_write_atomic_failed_chunks_leave_target(tmp_path):
         write_atomic(target, chunks())
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_size_beyond_memory_exits_3_naming_the_run(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "build_mesh", out_of_memory)
+    assert run(["solve", "--problem", "ex1", "--epsilon", "1e-6", "--mu", "1e-4",
+                "--n", "1000000000000"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "solve --n 1000000000000 does not fit in memory" in err
+    assert "Unable to allocate 7.28 TiB" in err
+    assert "Traceback" not in err
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("subcommand, first", [("solve", 0), ("mesh", 1)])
+@pytest.mark.parametrize("n, fork_rows", [
+    (65528, None), (65536, None),  # both sides of the row threshold
+    (16, 1), (24, 1), (4104, 1),  # forced forks: splits inside and across chunks
+])
+def test_large_csv_matches_serial_formatting(tmp_path, monkeypatch, subcommand, first, n,
+                                             fork_rows):
+    if fork_rows is not None:
+        monkeypatch.setattr(cli, "_FORK_ROWS", fork_rows)
+    argv = [subcommand, "--problem", "ex1", "--epsilon", "1.234e-8", "--mu", "5.6e-6",
+            "--n", str(n), "--output"]
+    forks = _counted_forks(monkeypatch)
+    assert run(argv + ["split.csv"], tmp_path) == 0
+    rows = n + 1 - first  # the mesh CSV's row 0 is part of its header
+    assert len(forks) == int(rows >= cli._FORK_ROWS and cli._on_two_cores())
+    monkeypatch.setattr(cli, "_FORK_ROWS", 1 << 62)
+    assert run(argv + ["serial.csv"], tmp_path) == 0
+    assert len(forks) <= 1
+    split = (tmp_path / "split.csv").read_bytes()
+    assert split == (tmp_path / "serial.csv").read_bytes()
+    assert split.count(b"\n") == n + 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["serial.csv", "split.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("subcommand, first", [("solve", 0), ("mesh", 1)])
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_failed_split_csv_leaves_old_target_and_no_child(tmp_path, monkeypatch, subcommand,
+                                                         first, side):
+    monkeypatch.setattr(cli, "_FORK_ROWS", 1)
+    monkeypatch.setattr(cli, "_on_two_cores", lambda: True)
+    real_chunks = cli._csv_chunks
+
+    def failing_chunks(format_rows, start, stop):
+        # the parent formats from the first row, the child from the split
+        if (start == first) == (side == "parent"):
+            raise _Injected(side)
+        return real_chunks(format_rows, start, stop)
+
+    monkeypatch.setattr(cli, "_csv_chunks", failing_chunks)
+    forks = _counted_forks(monkeypatch)
+    target = tmp_path / f"{subcommand}.csv"
+    target.write_text("old\n")
+    argv = [subcommand, "--problem", "ex1", "--epsilon", "1e-6", "--mu", "1e-4",
+            "--n", "4096", "--output", str(target)]
+    with pytest.raises(_Injected if side == "parent" else OSError):
+        run(argv, tmp_path)
+    assert len(forks) == 1
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failed_sweep_cells_named_on_stderr(tmp_path):

@@ -1,4 +1,5 @@
-"""Thomas solver against the dense oracle, residuals, pivot failures."""
+"""Cyclic reduction and the Thomas loop against the dense oracle, an
+extended-precision reference, residuals and pivot failures."""
 
 import sys
 
@@ -16,7 +17,7 @@ from splayer import (
     solve_dense_oracle,
     solve_thomas,
 )
-from splayer.linalg import _BLOCK, _rowwise_residual
+from splayer.linalg import _BLOCK, _CUTOVER, _rowwise_residual, _thomas_loop
 
 
 def _reference_thomas(system):
@@ -46,8 +47,14 @@ def _reference_thomas(system):
     return Solution(y, _rowwise_residual(system, y))
 
 
-def _assert_bitwise_equal_to_reference(system):
-    solution = solve_thomas(system)
+def _loop_stage(system):
+    """The Thomas loop alone, as solve_thomas runs it below the cutover."""
+    y = _thomas_loop(system.lower, system.diag, system.upper, system.rhs)
+    return Solution(y, _rowwise_residual(system, y))
+
+
+def _assert_bitwise_equal_to_reference(system, solve=_loop_stage):
+    solution = solve(system)
     reference = _reference_thomas(system)
     assert solution.y.tobytes() == reference.y.tobytes()
     assert solution.residual_inf == reference.residual_inf
@@ -83,6 +90,24 @@ def test_thomas_matches_dense_oracle_on_random_systems():
         assert np.max(np.abs(thomas.y - dense.y)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [257, 258, 513, 700, 1023, 1024])
+def test_cyclic_reduction_matches_dense_oracle(n):
+    # odd and even row counts at every level: the last odd row either has an
+    # even neighbour on both sides or is the last row of the system
+    rng = np.random.default_rng(n)
+    system = _random_dominant_system(rng, n)
+    reduced = solve_thomas(system)
+    dense = solve_dense_oracle(system)
+    assert np.max(np.abs(reduced.y - dense.y)) <= 1e-12 * np.max(np.abs(dense.y))
+    assert reduced.residual_inf <= 1e-15
+
+
+@pytest.mark.parametrize("n", [16, _CUTOVER - 1, _CUTOVER])
+def test_solve_at_or_below_cutover_is_the_loop(n):
+    _assert_bitwise_equal_to_reference(_random_dominant_system(np.random.default_rng(n), n),
+                                       solve=solve_thomas)
+
+
 def test_assembled_system_residual():
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
     regime = derive_regime(spec, samples=200)
@@ -95,7 +120,7 @@ def test_known_vector_recovery():
     rng = np.random.default_rng(3)
     from splayer.scheme import apply_operator
 
-    for n in (8, 32, 128):
+    for n in (8, 32, 128, 4 * _CUTOVER + 3):
         system = _random_dominant_system(rng, n)
         v = rng.normal(size=n + 1)
         forced = TridiagonalSystem(
@@ -158,9 +183,66 @@ def test_zero_pivot_across_block_boundary(row):
         c[i] = upper[i] / (diag[i] - lower[i] * c[i - 1])
     diag[row] = lower[row] * c[row - 1]  # pivot cancels exactly
     system = TridiagonalSystem(lower, diag, upper, rhs, n)
-    assert _pivot_error(solve_thomas, system) == (row, 0.0) == _pivot_error(
+    assert _pivot_error(_loop_stage, system) == (row, 0.0) == _pivot_error(
         _reference_thomas, system
     )
+
+
+@pytest.mark.parametrize("n, row, stage", [(1000, 602, "reduction"), (512, 400, "loop")])
+def test_zero_reduced_pivot_names_system_row(n, row, stage):
+    # (-1, 2, -1) rows sum to 0, so one level gives row ``row`` the pivot
+    # s - lower' - upper' from its own row sum s, exactly:
+    #   reduction: row 602 is odd at level 1, -1 + 0.5 + 0.5 = 0
+    #   loop: row 400 is row 200 of the loop stage; its lower coupling is
+    #   cut, so its loop pivot is its reduced diagonal, -0.5 + 0.5 = 0
+    lower, diag, upper, rhs = _coupled_system(n)
+    diag[:] = 2.0
+    if stage == "reduction":
+        diag[row] = 1.0
+    else:
+        lower[row] = 0.0
+        diag[row] = 0.5
+    system = TridiagonalSystem(lower, diag, upper, rhs, n)
+    assert _pivot_error(solve_thomas, system) == (row, 0.0)
+
+
+def _longdouble_thomas(system):
+    """Elementwise elimination in extended precision."""
+    a, b, c, r = (list(v.astype(np.longdouble)) for v in
+                  (system.lower, system.diag, system.upper, system.rhs))
+    n = system.n
+    cs, gs = [None] * (n + 1), [None] * (n + 1)
+    cs[0] = c_prev = c[0] / b[0]
+    gs[0] = g_prev = r[0] / b[0]
+    for i in range(1, n + 1):
+        pivot = b[i] - a[i] * c_prev
+        cs[i] = c_prev = c[i] / pivot
+        gs[i] = g_prev = (r[i] - a[i] * g_prev) / pivot
+    y = [None] * (n + 1)
+    y[n] = y_next = g_prev
+    for i in range(n - 1, -1, -1):
+        y[i] = y_next = gs[i] - cs[i] * y_next
+    return np.array(y, dtype=np.longdouble)
+
+
+def test_solve_is_as_accurate_as_the_loop_against_extended_precision():
+    # the reference only resolves double rounding with a 64-bit mantissa
+    assert np.finfo(np.longdouble).nmant >= 63
+    cases = [(example, 1e-8, mu, 1 << 14)
+             for example in ("ex1", "ex2") for mu in (1e-4, 1e-10, 1e-17)]
+    cases.append(("ex1", 1e-8, 1e-6, 1 << 20))
+    for example, epsilon, mu, n in cases:
+        spec = builtin_example(example, epsilon=epsilon, mu=mu)
+        mesh = shishkin_bakhvalov_mesh(derive_regime(spec, samples=200), n, spec.d)
+        system = assemble(spec, mesh)
+        reference = _longdouble_thomas(system)
+        scale = np.max(np.abs(reference))
+
+        def error(y):
+            return float(np.max(np.abs(y.astype(np.longdouble) - reference)) / scale)
+
+        loop = error(_loop_stage(system).y)
+        assert error(solve_thomas(system).y) <= 3.0 * loop, (example, mu, n, loop)
 
 
 def test_subnormal_pivot_names_row_and_value():
