@@ -6,22 +6,32 @@ observed order between consecutive n is log2 of the error ratio.  Sweeps
 over decades of mu or epsilon reproduce the usual error/order tables, one
 table per mesh family, and a manufactured-solution harness measures true
 nodal errors against a caller-supplied exact solution.
+
+A sweep table is computed column by column: the systems of one N, one per
+swept value, have the same size, so they are assembled and solved together
+as a batch of (k, n + 1) arrays, at most ``_BATCH_ROWS`` rows at a time,
+with the same results as one by one (see ``linalg.solve_thomas``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .expressions import BinOp, Expression, Num, evaluate_array
 from .linalg import Solution, solve_thomas
 from .mesh import Mesh, MeshFamily, build_mesh, refine_double
-from .problem import DEFAULT_SAMPLES, ProblemSpec, RegimeData, derive_regime
+from .problem import (
+    DEFAULT_SAMPLES,
+    ProblemSpec,
+    RegimeData,
+    coefficient_bounds,
+    derive_regime,
+)
 from .scheme import assemble
 
 __all__ = [
@@ -42,6 +52,14 @@ DOUBLE_MESH_MODES = ("bisect", "regenerate")
 
 # failures that mark a sweep cell as missing instead of aborting the run
 _CELL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+# most rows one batched assembly and solve takes (at least one system): a
+# sweep column's rows are taken in chunks whose fine systems fit the cap.
+# Larger batches pay less per-call overhead but raise the peak memory: on a
+# converge sweep of ex2 (14 mu rows, N = 64..4096, 2 vCPU), where solving
+# one system at a time peaked at 31.7 MB, 2^14 peaked 0.6 MB higher, 2^15
+# 2.7 MB and one batch per column (2^17) 14 MB
+_BATCH_ROWS = 1 << 14
 
 
 class SweepCellWarning(UserWarning):
@@ -130,42 +148,96 @@ def _max_difference(
     return float(np.max(np.abs(coarse.y - matched)))
 
 
-def _row_errors(
-    spec: ProblemSpec,
-    regime: RegimeData,
+def _solve_batch(specs: list[ProblemSpec], meshes: list[Mesh]) -> list:
+    """Each system's Solution, or the exception that ended it, in order.
+
+    One batched assembly and solve serves all the (equally sized) systems.
+    Should the batch raise as a whole, for instance on a coefficient that
+    fails to evaluate on one mesh, each system is retried alone, so that a
+    failure ends only the cells it belongs to.
+    """
+    try:
+        if len(meshes) == 1:  # one system: the single solve's 1-D arrays are faster
+            return [solve_thomas(assemble(specs[0], meshes[0]))]
+        return solve_thomas(assemble(specs, meshes))
+    except _CELL_ERRORS as err:
+        if len(meshes) == 1:
+            return [err]
+        return [result for s, m in zip(specs, meshes) for result in _solve_batch([s], [m])]
+
+
+def _stage(rows, step, failed) -> dict:
+    """``{j: step(j)}`` for each row j whose step does not fail."""
+    done = {}
+    for j in rows:
+        try:
+            done[j] = step(j)
+        except _CELL_ERRORS as err:
+            failed(j, err)
+    return done
+
+
+def _solved(specs, meshes: dict, failed) -> dict:
+    """``{j: (mesh, solution)}`` for each row of ``meshes`` whose batched solve succeeds."""
+    rows = list(meshes)
+    results = _solve_batch([specs[j] for j in rows], [meshes[j] for j in rows]) if rows else []
+    done = {}
+    for j, result in zip(rows, results):
+        if isinstance(result, Exception):
+            failed(j, result)
+        else:
+            done[j] = (meshes[j], result)
+    return done
+
+
+def _table_errors(
+    specs: list[ProblemSpec],
+    regimes: list[RegimeData],
     family: MeshFamily,
     n_values: tuple[int, ...],
     mode: str,
-    failed: Callable[[int, Exception], None],
-) -> list[float]:
-    """Double-mesh errors along one sweep row, in ``n_values`` order.
+) -> tuple[np.ndarray, dict]:
+    """Double-mesh errors of a whole table, and the exception of each failed cell.
 
-    In regenerate mode the fine solve at 2N is kept, and a following cell
-    at that N takes it as its coarse solve.  A bisected mesh is not the
-    mesh built for 2N, so bisect mode keeps nothing.  Meshing, assembly
-    and the solve are deterministic, so every error equals
-    ``double_mesh_error`` cell by cell.  A solve that raises is not kept;
-    the next cell recomputes it and fails the same way.
+    The walk goes column by column: at each N the rows' meshes and fine
+    meshes are built one at a time, and the rows' systems of one size are
+    assembled and solved as one batch of at most ``_BATCH_ROWS`` rows, so a
+    failing system ends only its own cell.  In regenerate mode a row's fine
+    solve at 2N is kept, and the row's cell at that N takes it as its
+    coarse solve; only a next N of 2N can take it, so nothing else is kept.
+    A bisected mesh is not the mesh built for 2N, so bisect mode keeps
+    nothing.  Meshing, assembly and the solve are deterministic and never
+    mix rows, so every error equals ``double_mesh_error`` cell by cell.  A
+    solve that fails is not kept; the next cell recomputes it and fails the
+    same way.  Failures map (row, column) to their exception.
     """
-    errors = []
-    kept = None  # (n, mesh, solution) of the last regenerated fine solve
-    for n in n_values:
-        reused, kept = kept, None
-        try:
-            if reused is not None and reused[0] == n:
-                _, mesh, coarse = reused
-            else:
-                mesh = build_mesh(family, regime, n, spec.d)
-                coarse = solve_on_mesh(spec, mesh)
-            fine_mesh = _fine_mesh(mesh, mode, regime, spec.d)
-            fine = solve_on_mesh(spec, fine_mesh)
-            if mode == "regenerate":
-                kept = (2 * n, fine_mesh, fine)
-            errors.append(_max_difference(mesh, coarse, fine_mesh, fine, mode))
-        except _CELL_ERRORS as err:
-            failed(n, err)
-            errors.append(math.nan)
-    return errors
+    d = specs[0].d
+    errors = np.full((len(specs), len(n_values)), math.nan)
+    failures = {}
+    kept = [None] * len(specs)  # per row: (mesh, solution) of a fine solve the next N reuses
+    for k, n in enumerate(n_values):
+
+        def failed(j: int, err: Exception, k: int = k) -> None:
+            failures[j, k] = err
+
+        per_batch = max(1, _BATCH_ROWS // (2 * n + 1))
+        reuse = mode == "regenerate" and 2 * n in n_values[k + 1 : k + 2]
+        for start in range(0, len(specs), per_batch):
+            rows = range(start, min(start + per_batch, len(specs)))
+            reused = {j: kept[j] for j in rows if kept[j] is not None}
+            for j in rows:
+                kept[j] = None
+            fresh = _stage([j for j in rows if j not in reused],
+                           lambda j: build_mesh(family, regimes[j], n, d), failed)
+            coarse = _solved(specs, fresh, failed) | reused
+            fine = _stage(sorted(coarse), lambda j: _fine_mesh(coarse[j][0], mode, regimes[j], d),
+                          failed)
+            for j, (fine_mesh, fine_solution) in _solved(specs, fine, failed).items():
+                mesh, solution = coarse[j]
+                if reuse:
+                    kept[j] = (fine_mesh, fine_solution)
+                errors[j, k] = _max_difference(mesh, solution, fine_mesh, fine_solution, mode)
+    return errors, failures
 
 
 def _orders_from_errors(errors: np.ndarray) -> np.ndarray:
@@ -198,24 +270,29 @@ def convergence_table(
     family: MeshFamily = MeshFamily.SHISHKIN_BAKHVALOV,
     mode: str = "bisect",
     samples: int = DEFAULT_SAMPLES,
+    bounds: tuple[float, float, float, float] | None = None,
 ) -> ConvergenceTable:
     """Fill the error/order grid for one mesh family.
 
-    Cell failures are recorded as NaN, each named by a
-    :class:`SweepCellWarning`, and the sweep continues.  In regenerate mode
-    a cell's fine solve is reused as the coarse solve of the next cell when
-    that cell's N doubles the previous one.
+    The coefficients are sampled once for the table (``bounds``, from
+    :func:`~splayer.problem.coefficient_bounds`, skips even that), and the
+    cells are computed column by column, each column's systems in batches
+    (see ``_table_errors``).  Cell failures are recorded as NaN, each named
+    by a :class:`SweepCellWarning` in row-major order, and the sweep
+    continues.  In regenerate mode a cell's fine solve is reused as the
+    coarse solve of the next cell when that cell's N doubles the previous
+    one.
     """
     _check_mode(mode)
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     specs = [_sweep_spec(spec, sweep_param, value) for value in sweep_values]
-    regimes = [derive_regime(s, samples) for s in specs]
-    flat = []
-    for value, row_spec, regime in zip(sweep_values, specs, regimes):
-        failed = functools.partial(_warn_cell, family, sweep_param, value)
-        flat += _row_errors(row_spec, regime, family, n_values, mode, failed)
-    errors = np.array(flat).reshape(len(sweep_values), len(n_values))
+    if bounds is None:
+        bounds = coefficient_bounds(spec, samples)
+    regimes = [derive_regime(s, bounds=bounds) for s in specs]
+    errors, failures = _table_errors(specs, regimes, family, n_values, mode)
+    for j, k in sorted(failures):
+        _warn_cell(family, sweep_param, sweep_values[j], n_values[k], failures[j, k])
     return ConvergenceTable(
         sweep_param=sweep_param,
         sweep_values=sweep_values,

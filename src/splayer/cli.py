@@ -1,9 +1,9 @@
 """Command-line driver: solves, parameter sweeps, mesh dumps, and plots.
 
 Exit status: 0 on success, 2 on configuration errors (flags, problem
-files, ranges), 3 on numerical failures (pivot breakdown, non-finite
-coefficients, singular systems) and on mesh sizes whose arrays do not fit
-in memory.
+files, ranges, an output path that cannot be written), 3 on numerical
+failures (pivot breakdown, non-finite coefficients, singular systems) and
+on mesh sizes whose arrays do not fit in memory.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .problem import (
     DEFAULT_SAMPLES,
     ProblemSpec,
     builtin_example,
+    coefficient_bounds,
     derive_regime,
     load_problem,
     validate,
@@ -133,8 +134,10 @@ def _parse_decades(text: str, flag: str) -> tuple[float, ...]:
         return (endpoints[0],)
     exponents = []
     for value in endpoints:
-        if value <= 0.0:
-            raise CLIError(f"{flag}: decade range endpoints must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise CLIError(
+                f"{flag}: decade range endpoints must be finite and positive, got {value}"
+            )
         exponent = math.log10(value)
         if abs(exponent - round(exponent)) > 1e-9:
             raise CLIError(f"{flag}: range endpoints must be powers of ten, got {value}")
@@ -256,6 +259,20 @@ def _scalar(value: str | None, flag: str) -> float:
         raise CLIError(f"{flag}: could not parse {value!r}") from None
 
 
+def _check_output(output: Path) -> None:
+    """Reject an output path that is a directory or whose parent cannot be made."""
+    if output.is_dir():
+        raise CLIError(f"--output: {str(output)!r} is a directory")
+    ancestor = output.parent
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise CLIError(
+            f"--output: cannot create the directory of {str(output)!r}: "
+            f"{str(ancestor)!r} is not a directory"
+        )
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     sweeping = args.subcommand in ("converge", "compare")
     fmt = getattr(args, "format", "csv")
@@ -308,6 +325,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise CLIError(str(err)) from err
 
     output = Path(args.output) if args.output else Path(f"{_DEFAULT_OUTPUT[args.subcommand]}.{fmt}")
+    _check_output(output)
 
     if args.samples < 2:
         raise CLIError(f"--samples must be at least 2, got {args.samples}")
@@ -431,7 +449,7 @@ def _run_solve(config: RunConfig) -> None:
         write_atomic(config.output.with_suffix(".svg"), svg)
 
 
-def _sweep(config: RunConfig, family: MeshFamily) -> analysis.ConvergenceTable:
+def _sweep(config: RunConfig, family: MeshFamily, bounds=None) -> analysis.ConvergenceTable:
     return analysis.convergence_table(
         config.spec,
         config.sweep_param,
@@ -440,6 +458,7 @@ def _sweep(config: RunConfig, family: MeshFamily) -> analysis.ConvergenceTable:
         family=family,
         mode=config.double_mesh,
         samples=config.samples,
+        bounds=bounds,
     )
 
 
@@ -450,7 +469,8 @@ def _run_converge(config: RunConfig) -> None:
 
 
 def _run_compare(config: RunConfig) -> None:
-    tables = [_sweep(config, family) for family in config.families]
+    bounds = coefficient_bounds(config.spec, config.samples)  # one sampling for both tables
+    tables = [_sweep(config, family, bounds) for family in config.families]
     text = (
         analysis.comparison_to_markdown(tables)
         if config.fmt == "md"

@@ -1,13 +1,16 @@
-"""Direct tridiagonal solves, plus a dense oracle for cross-checking.
+"""Direct tridiagonal solves, plus a banded LAPACK oracle for cross-checking.
 
 The production path solves without pivoting, which is safe on the
-M-matrix systems the scheme assembles: odd-even cyclic reduction halves a
-large system until it is small, the Thomas algorithm solves what is left,
-and back substitution recovers the eliminated rows.  A pivot breakdown is
-reported as a structured error pointing at the offending row.  The dense
-oracle expands the three diagonals to a full matrix and delegates to
-LAPACK's partially pivoted Gaussian elimination; it exists to validate
-the production path in tests.
+M-matrix systems the scheme assembles: odd-even cyclic reduction (Hockney
+1965; Buzbee, Golub, Nielson 1970) halves the system one vectorised level
+at a time until a single row is left, and back substitution recovers the
+eliminated rows.  A level never mixes rows of different systems, so a
+batch of equally sized systems, stacked as (k, n + 1) arrays, is reduced
+by the same numpy calls as one system; a pivot breakdown in one of them
+leaves the others untouched and is reported as a structured error pointing
+at the offending row.  The oracle hands the three diagonals to LAPACK's
+partially pivoted tridiagonal elimination; it exists to validate the
+production path in tests.
 """
 
 from __future__ import annotations
@@ -18,21 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme import TridiagonalSystem, apply_operator
+from .scheme import TridiagonalSystem, apply_operator, frozen_array
 
 __all__ = ["Solution", "PivotError", "solve_thomas", "solve_dense_oracle"]
 
 DENSE_ORACLE_MAX_N = 1024
 
-# rows of the elimination converted to Python floats at a time
-_BLOCK = 4096
-
-# systems of more than this many intervals (n + 1 rows) are halved by cyclic
-# reduction before the loop runs: a level costs a fixed ~20 numpy calls,
-# which the loop's per-row cost repays from a few hundred rows on (measured
-# break-even 128-256 rows, 2 vCPU, numpy 2.4); halving 2^p + 1 rows gives
-# 2^(p-1) + 1, so mesh sizes n <= 256 stay on the loop alone
-_CUTOVER = 256
+# zero and subnormal pivots are breakdowns
+_PIVOT_FLOOR = sys.float_info.min
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +39,7 @@ class Solution:
     residual_inf: float
 
     def __post_init__(self):
-        array = np.array(self.y, dtype=float)
-        array.setflags(write=False)
-        object.__setattr__(self, "y", array)
+        object.__setattr__(self, "y", frozen_array(self.y))
         if not math.isfinite(self.residual_inf):
             raise ValueError(f"residual must be finite, got {self.residual_inf}")
 
@@ -62,152 +56,182 @@ class PivotError(ArithmeticError):
         self.value = value
 
 
-def _rowwise_residual(system: TridiagonalSystem, y: np.ndarray) -> float:
-    """Componentwise backward error max_i |A y - rhs|_i / (|A||y| + |rhs|)_i."""
-    r = apply_operator(system, y) - system.rhs
-    denom = np.abs(system.diag * y) + np.abs(system.rhs)
-    denom[1:] += np.abs(system.lower[1:] * y[:-1])
-    denom[:-1] += np.abs(system.upper[:-1] * y[1:])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(denom > 0.0, np.abs(r) / denom, np.where(r == 0.0, 0.0, np.inf))
-    return float(np.max(ratios))
+def _scaled_ratios(system: TridiagonalSystem, y: np.ndarray) -> np.ndarray:
+    """Rowwise |A y - rhs| / (|A||y| + |rhs|), summed without overflow.
 
-
-def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
-    """Forward elimination and back substitution in O(n) time and space.
-
-    The recurrence runs on Python floats, ``_BLOCK`` rows at a time: the
-    same IEEE double operations in the same order as elementwise float64
-    elimination, so the result is bitwise equal to it, without boxing a
-    numpy scalar per element.  Blocks bound the memory held in lists.
-    ``lower[0]`` and ``upper[-1]`` do not affect the result.
+    Every term ``coefficient * value`` is split into a mantissa product and
+    a binary exponent, and each row is scaled by two to the power of its
+    largest exponent before it is summed: the scaled terms are below 1, so
+    neither sum can overflow, and the ratio does not depend on the scale.
     """
-    n = diag.size - 1
-    pivot_floor = sys.float_info.min  # subnormal pivots are breakdowns too
-
-    c = np.empty(n + 1)  # modified upper diagonal
-    g = np.empty(n + 1)  # modified right-hand side
-    pivot = float(diag[0])
-    if abs(pivot) < pivot_floor:
-        raise PivotError(0, pivot)
-    c[0] = c_prev = float(upper[0]) / pivot
-    g[0] = g_prev = float(rhs[0]) / pivot
-    for start in range(1, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
-        c_block, g_block = [], []
-        for l, d, u, r in zip(
-            lower[start:stop].tolist(),
-            diag[start:stop].tolist(),
-            upper[start:stop].tolist(),
-            rhs[start:stop].tolist(),
-        ):
-            pivot = d - l * c_prev
-            if abs(pivot) < pivot_floor:
-                raise PivotError(start + len(c_block), pivot)
-            c_prev = u / pivot
-            g_prev = (r - l * g_prev) / pivot
-            c_block.append(c_prev)
-            g_block.append(g_prev)
-        c[start:stop] = c_block
-        g[start:stop] = g_block
-
-    y = np.empty(n + 1)
-    y[n] = y_next = g_prev
-    for stop in range(n, 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        y_block = []
-        for c_i, g_i in zip(c[start:stop][::-1].tolist(), g[start:stop][::-1].tolist()):
-            y_next = g_i - c_i * y_next
-            y_block.append(y_next)
-        y[start:stop] = y_block[::-1]
-    return y
+    lower, upper = system.lower.copy(), system.upper.copy()
+    lower[..., 0] = upper[..., -1] = 0.0  # they take no part
+    before, after = np.zeros_like(y), np.zeros_like(y)
+    before[..., 1:] = y[..., :-1]
+    after[..., :-1] = y[..., 1:]
+    mantissas, exponents = [], []
+    for coefficient, value in ((lower, before), (system.diag, y), (upper, after),
+                               (-system.rhs, 1.0)):
+        (m1, e1), (m2, e2) = np.frexp(coefficient), np.frexp(value)
+        mantissas.append(m1 * m2)
+        exponents.append(np.where(m1 * m2 != 0.0, e1 + e2, -(1 << 30)))  # zeros do not scale
+    top = np.max(exponents, axis=0)
+    terms = [np.ldexp(m, e - top) for m, e in zip(mantissas, exponents)]
+    magnitude = sum(np.abs(term) for term in terms)
+    return np.abs(sum(terms)) / np.where(magnitude > 0.0, magnitude, 1.0)
 
 
-def _reduce(lower, diag, upper, rhs, sums, stride):
-    """One odd-even level: the even rows with the odd unknowns eliminated.
+def _rowwise_residual(system: TridiagonalSystem, y: np.ndarray):
+    """Componentwise backward error max_i |A y - rhs|_i / (|A||y| + |rhs|)_i.
 
-    Even row 2j takes ``left`` times odd row 2j - 1 and ``right`` times odd
-    row 2j + 1, the multiples that zero its odd couplings.  Row sums combine
-    the same way, and the new diagonal is the new row sum minus the new
-    off-diagonals: on an M-matrix every term of both sums has one sign, so
-    no cancellation grows over the levels.  ``stride`` maps a row of this
-    level to the system's row; the odd rows' own diagonals are the pivots.
-    """
-    odd_diag = diag[1::2]
-    if np.min(np.abs(odd_diag)) < sys.float_info.min:
-        j = int(np.argmax(np.abs(odd_diag) < sys.float_info.min))
-        raise PivotError((2 * j + 1) * stride, float(odd_diag[j]))
-    k = odd_diag.size  # odd rows; the even rows number k or k + 1
-    m = diag.size - k
-    left = -lower[2::2] / odd_diag[: m - 1]
-    right = -upper[0 : 2 * k : 2] / odd_diag
-    new_lower = np.empty(m)
-    new_lower[0] = 0.0
-    np.multiply(left, lower[1::2][: m - 1], out=new_lower[1:])
-    new_upper = np.empty(m)
-    new_upper[m - 1] = 0.0  # with k == m the last odd row couples to nothing
-    np.multiply(right[: m - 1], upper[1::2][: m - 1], out=new_upper[: m - 1])
-    new_rhs = rhs[0::2].copy()
-    new_sums = sums[0::2].copy()
-    for new, old in ((new_rhs, rhs), (new_sums, sums)):
-        new[1:] += left * old[1::2][: m - 1]
-        new[:k] += right * old[1::2]
-    new_diag = new_sums - new_lower
-    new_diag -= new_upper
-    return new_lower, new_diag, new_upper, new_rhs, new_sums
-
-
-def solve_thomas(system: TridiagonalSystem) -> Solution:
-    """Solve without pivoting in O(n) time and space, with its residual.
-
-    While the system has more than ``_CUTOVER`` intervals (n + 1 rows),
-    odd-even cyclic reduction eliminates the odd rows, one vectorised level
-    at a time; the Thomas loop (``_thomas_loop``) solves the reduced
-    system, and each level then recovers its odd rows from their even
-    neighbours.  A zero or subnormal pivot at any stage raises
-    ``PivotError`` naming the row of ``system`` it belongs to.  Systems at
-    or below the cutover go through the loop alone, bitwise equal to
-    elementwise float64 elimination.
+    One maximum per system: a float for a single system, an array of k for
+    a batch.  ``lower[..., 0]`` and ``upper[..., -1]`` take no part.  Rows
+    whose plain sums overflow are summed again by ``_scaled_ratios``.
     """
     lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = apply_operator(system, y) - rhs
+        denom = np.abs(diag * y) + np.abs(rhs)
+        denom[..., 1:] += np.abs(lower[..., 1:] * y[..., :-1])
+        denom[..., :-1] += np.abs(upper[..., :-1] * y[..., 1:])
+        ratios = np.where(denom > 0.0, np.abs(r) / denom, np.where(r == 0.0, 0.0, np.inf))
+        overflowed = np.isinf(denom)
+        if overflowed.any():
+            ratios = np.where(overflowed, _scaled_ratios(system, y), ratios)
+    return ratios.max(axis=-1)
+
+
+def _note_pivots(failures: list, pivots: np.ndarray, first: int, step: int) -> None:
+    """Record the first zero or subnormal pivot of each system not yet failed.
+
+    ``pivots[..., j]`` belongs to row ``first + j * step`` of its system.
+    """
+    magnitudes = np.abs(pivots)
+    if magnitudes.min() >= _PIVOT_FLOOR:
+        return
+    small = np.atleast_2d(magnitudes < _PIVOT_FLOOR)
+    for i in np.flatnonzero(small.any(axis=1)):
+        if failures[i] is None:
+            j = int(np.argmax(small[i]))
+            failures[i] = PivotError(first + j * step, float(np.atleast_2d(pivots)[i, j]))
+
+
+def _cyclic_reduction(lower, diag, upper, rhs) -> tuple[np.ndarray, list]:
+    """Solve one system or a batch: y, and a PivotError or None per system.
+
+    Each level divides its odd rows by their pivots, the diagonal, and
+    subtracts from every even row its couplings times the neighbouring
+    odd rows, so the even rows form the next level's system; the levels
+    go on until one row, the first, is left.  The row sums are the
+    right-hand side whose solution is all ones: they ride along as a
+    second right-hand side, and each new diagonal is the new row sum minus
+    the new off-diagonals.  On an M-matrix every term of both sums has one
+    sign, so no cancellation grows over the levels.  Back substitution
+    then recovers each level's odd rows from their even neighbours, with
+    the divided couplings: a row-dominant row never multiplies a value by
+    more than one, so boundary values near the float limit do not
+    overflow.  A system with a zero or subnormal pivot is computed on, into
+    NaN or inf, without touching the others.  The last axis is the row
+    axis throughout, so one system and a batch run the same numpy calls.
+    """
+    failures = [None] * math.prod(diag.shape[:-1])
+    sides = np.stack((rhs, diag))  # the second becomes the row sums
+    sides[1, ..., 1:] += lower[..., 1:]
+    sides[1, ..., :-1] += upper[..., :-1]
     levels, stride = [], 1
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: no warnings
-        if diag.size - 1 > _CUTOVER:
-            sums = diag.copy()
-            sums[1:] += lower[1:]
-            sums[:-1] += upper[:-1]
-        while diag.size - 1 > _CUTOVER:
-            levels.append((lower[1::2], diag[1::2], upper[1::2], rhs[1::2]))
-            lower, diag, upper, rhs, sums = _reduce(lower, diag, upper, rhs, sums, stride)
-            stride *= 2
-        try:
-            y = _thomas_loop(lower, diag, upper, rhs)
-        except PivotError as err:
-            raise PivotError(err.row * stride, err.value) from None
-        for odd_lower, odd_diag, odd_upper, odd_rhs in reversed(levels):
-            k, m = odd_diag.size, y.size
-            odd = odd_rhs - odd_lower * y[:k]
-            odd[: m - 1] -= odd_upper[: m - 1] * y[1:]
-            odd /= odd_diag
-            full = np.empty(m + k)
-            full[0::2] = y
-            full[1::2] = odd
-            y = full
-    return Solution(y, _rowwise_residual(system, y))
+    while diag.shape[-1] > 1:
+        pivots = diag[..., 1::2]
+        _note_pivots(failures, pivots, stride, 2 * stride)
+        odd = pivots.shape[-1]
+        even = diag.shape[-1] - odd
+        # the odd rows' couplings over minus the pivot (>= 0 on an M-matrix)
+        negated = -pivots
+        odd_lower = lower[..., 1::2] / negated
+        odd_upper = upper[..., 1::2] / negated
+        odd_sides = sides[..., 1::2] / pivots
+        levels.append((odd_lower, odd_upper, odd_sides[0]))
+        # even row j couples to odd row j - 1 through lower, to odd row j through upper
+        even_lower = lower[..., 2::2]
+        even_upper = upper[..., 0 : 2 * odd : 2]
+        shape = diag.shape[:-1] + (even,)
+        lower = np.empty(shape)
+        lower[..., 0] = 0.0
+        np.multiply(even_lower, odd_lower[..., : even - 1], out=lower[..., 1:])
+        upper = np.empty(shape)
+        upper[..., even - 1] = 0.0  # with as many odd rows, the last couples to nothing
+        np.multiply(even_upper[..., : even - 1], odd_upper[..., : even - 1],
+                    out=upper[..., : even - 1])
+        new_sides = sides[..., 0::2].copy()
+        new_sides[..., 1:] -= even_lower * odd_sides[..., : even - 1]
+        new_sides[..., :odd] -= even_upper * odd_sides
+        sides = new_sides
+        diag = sides[1] - lower
+        diag -= upper
+        stride *= 2
+    _note_pivots(failures, diag, 0, 0)
+    y = sides[0] / diag
+    for odd_lower, odd_upper, odd_rhs in reversed(levels):
+        odd, even = odd_rhs.shape[-1], y.shape[-1]
+        values = odd_lower * y[..., :odd]
+        values += odd_rhs
+        values[..., : even - 1] += odd_upper[..., : even - 1] * y[..., 1:]
+        full = np.empty(y.shape[:-1] + (even + odd,))
+        full[..., 0::2] = y
+        full[..., 1::2] = values
+        y = full
+    return y, failures
+
+
+def _solution(y: np.ndarray, residual: float) -> Solution | ValueError:
+    try:
+        return Solution(y, residual)
+    except ValueError as err:
+        return err
+
+
+def solve_thomas(system: TridiagonalSystem) -> Solution | list[Solution | Exception]:
+    """Solve without pivoting in O(n) time and space, with its residual.
+
+    Odd-even cyclic reduction (``_cyclic_reduction``) eliminates the odd
+    rows one vectorised level at a time and back substitution recovers
+    them; the name is kept from the Thomas loop it replaced.  A single
+    system, (n + 1,) arrays, gives a :class:`Solution` and raises
+    ``PivotError`` naming the row of a zero or subnormal pivot, or
+    ``ValueError`` when the residual is not finite.  A batch, (k, n + 1)
+    arrays, gives a list of k entries in order, each the system's
+    ``Solution`` or the exception its single solve would raise; the systems
+    run through the same numpy calls, so each entry is bitwise what the
+    single solve gives.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y, failures = _cyclic_reduction(system.lower, system.diag, system.upper, system.rhs)
+    residuals = _rowwise_residual(system, y)
+    y.setflags(write=False)  # each Solution takes its row without a copy
+    if system.diag.ndim == 1:
+        if failures[0] is not None:
+            raise failures[0]
+        return Solution(y, float(residuals))
+    return [
+        failure or _solution(values, float(residual))
+        for values, residual, failure in zip(y, residuals, failures)
+    ]
 
 
 def solve_dense_oracle(system: TridiagonalSystem) -> Solution:
-    """Solve via a dense matrix; test oracle for small systems only.
+    """Solve with LAPACK's partially pivoted tridiagonal elimination (``?gtsv``).
 
-    Raises ``numpy.linalg.LinAlgError`` on a singular matrix.
+    A test oracle for single systems of n <= 1024, independent of the
+    production path; raises ``numpy.linalg.LinAlgError`` on a singular
+    matrix.  scipy is imported here, so importing splayer does not load it.
     """
+    from scipy.linalg import solve_banded
+
     n = system.n
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle is limited to n <= {DENSE_ORACLE_MAX_N}, got {n}")
-    matrix = np.zeros((n + 1, n + 1))
-    idx = np.arange(n + 1)
-    matrix[idx, idx] = system.diag
-    matrix[idx[1:], idx[1:] - 1] = system.lower[1:]
-    matrix[idx[:-1], idx[:-1] + 1] = system.upper[:-1]
-    y = np.linalg.solve(matrix, system.rhs)
+    bands = np.zeros((3, n + 1))
+    bands[0, 1:] = system.upper[:-1]
+    bands[1] = system.diag
+    bands[2, :-1] = system.lower[1:]
+    y = solve_banded((1, 1), bands, system.rhs)
     return Solution(y, _rowwise_residual(system, y))

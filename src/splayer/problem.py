@@ -28,6 +28,7 @@ __all__ = [
     "ProblemSpec",
     "RegimeData",
     "validate",
+    "coefficient_bounds",
     "derive_regime",
     "builtin_example",
     "problem_from_dict",
@@ -177,11 +178,14 @@ def validate(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> list[str]:
     return violations
 
 
-def derive_regime(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> RegimeData:
-    """Derive the layer-regime constants by sampling the coefficients.
+def coefficient_bounds(
+    spec: ProblemSpec, samples: int = DEFAULT_SAMPLES
+) -> tuple[float, float, float, float]:
+    """The constants (alpha1, alpha2, rho, gamma), from one sampling pass.
 
-    Values supplied in ``spec.overrides`` (keys ``alpha1``, ``alpha2``,
-    ``rho``, ``gamma``) take precedence over sampled estimates.  The spec
+    They depend on the coefficients and ``spec.overrides`` only, not on
+    epsilon or mu, so a sweep over either samples once.  Values supplied in
+    ``spec.overrides`` take precedence over sampled estimates.  The spec
     must satisfy :func:`validate`; constants that come out non-positive
     raise ``ValueError``.
     """
@@ -211,7 +215,23 @@ def derive_regime(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> RegimeDa
                 f"derived {name} = {value} is not positive; the problem violates "
                 "the sign hypotheses (see validate())"
             )
+    return alpha1, alpha2, rho, gamma
 
+
+def derive_regime(
+    spec: ProblemSpec,
+    samples: int = DEFAULT_SAMPLES,
+    bounds: tuple[float, float, float, float] | None = None,
+) -> RegimeData:
+    """Derive the layer-regime constants of ``spec``.
+
+    The coefficient constants come from :func:`coefficient_bounds`, or from
+    ``bounds`` when the caller already has them for these coefficients;
+    the case and the widths then follow from epsilon and mu in closed form.
+    """
+    if bounds is None:
+        bounds = coefficient_bounds(spec, samples)
+    alpha1, alpha2, rho, gamma = bounds
     alpha = abs(min(alpha1, alpha2))
     if math.sqrt(alpha) * spec.mu <= math.sqrt(rho * spec.epsilon):
         case = Case.ONE
@@ -275,20 +295,32 @@ def problem_from_dict(doc: Mapping) -> ProblemSpec:
         raise ValueError(f"problem document has unknown keys: {sorted(unknown)}")
     overrides = doc.get("overrides")
     if overrides is not None:
-        overrides = {k: float(v) for k, v in overrides.items()}
+        if not isinstance(overrides, Mapping):
+            raise ValueError(
+                f"overrides must be an object of numbers, got {type(overrides).__name__}"
+            )
+        overrides = {k: _number(f"override {k}", v) for k, v in overrides.items()}
     return ProblemSpec(
         a_left=parse(str(doc["a_left"])),
         a_right=parse(str(doc["a_right"])),
         b=parse(str(doc["b"])),
         f_left=parse(str(doc["f_left"])),
         f_right=parse(str(doc["f_right"])),
-        d=float(doc["d"]),
-        y0=float(doc["y0"]),
-        y1=float(doc["y1"]),
-        epsilon=float(doc["epsilon"]),
-        mu=float(doc["mu"]),
+        d=_number("d", doc["d"]),
+        y0=_number("y0", doc["y0"]),
+        y1=_number("y1", doc["y1"]),
+        epsilon=_number("epsilon", doc["epsilon"]),
+        mu=_number("mu", doc["mu"]),
         overrides=overrides,
     )
+
+
+def _number(name: str, value) -> float:
+    """``float(value)``, with a ``ValueError`` naming the field for any other type."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def load_problem(path: str | Path) -> ProblemSpec:

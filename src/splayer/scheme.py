@@ -12,6 +12,7 @@ differences at ``d`` and replaces the differential equation there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +34,22 @@ __all__ = [
 _DOMINANCE_RTOL = 1.0e-12
 
 
+def frozen_array(value) -> np.ndarray:
+    """``value`` as a read-only float64 array, copied unless it is one already."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and not value.flags.writeable:
+        return value
+    array = np.array(value, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class TridiagonalSystem:
-    """Three diagonals plus right-hand side; lower[0] and upper[n] are 0."""
+    """Three diagonals plus right-hand side; lower[0] and upper[n] are 0.
+
+    The arrays are (n + 1,) for one system, or (k, n + 1) for a batch of k
+    systems of the same size, one per row.
+    """
 
     lower: np.ndarray
     diag: np.ndarray
@@ -44,11 +58,13 @@ class TridiagonalSystem:
     n: int
 
     def __post_init__(self):
+        shape = np.shape(self.diag)
+        if len(shape) not in (1, 2) or shape[-1] != self.n + 1:
+            raise ValueError(f"diag must have length n + 1 = {self.n + 1}, or k rows of it")
         for name in ("lower", "diag", "upper", "rhs"):
-            array = np.array(getattr(self, name), dtype=float)
-            if array.shape != (self.n + 1,):
-                raise ValueError(f"{name} must have length n + 1 = {self.n + 1}")
-            array.setflags(write=False)
+            array = frozen_array(getattr(self, name))
+            if array.shape != shape:
+                raise ValueError(f"{name} must have the shape of diag, {shape}")
             object.__setattr__(self, name, array)
 
 
@@ -62,75 +78,104 @@ class MMatrixReport:
     worst_margin: float  # rowwise-relative dominance margin at worst_row
 
 
-def assemble(spec: ProblemSpec, mesh: Mesh) -> TridiagonalSystem:
+def assemble(
+    spec: ProblemSpec | Sequence[ProblemSpec], mesh: Mesh | Sequence[Mesh]
+) -> TridiagonalSystem:
     """Assemble the discrete system on ``mesh``.
 
     The mesh must pin ``spec.d`` exactly at index n/2.  Coefficients are
     evaluated one-sidedly: rows left of the interface use (a_left, f_left),
     rows right of it (a_right, f_right); the interface row uses neither.
+
+    ``spec`` and ``mesh`` may also be equally long sequences of problems
+    that differ only in epsilon, mu, y0 and y1, and of meshes with one n:
+    the systems are then assembled together, as a (k, n + 1) batch whose
+    row i is bitwise the system of ``spec[i]`` on ``mesh[i]``.
     """
-    n = mesh.n
-    m = mesh.d_index
-    if mesh.points[m] != spec.d:
+    if not isinstance(mesh, Mesh):
+        return _assemble(list(spec), list(mesh))
+    batch = _assemble([spec], [mesh])
+    return TridiagonalSystem(batch.lower[0], batch.diag[0], batch.upper[0], batch.rhs[0], mesh.n)
+
+
+def _assemble(specs: list[ProblemSpec], meshes: list[Mesh]) -> TridiagonalSystem:
+    if not meshes or len(specs) != len(meshes) or any(mesh.n != meshes[0].n for mesh in meshes):
+        raise ValueError("a batch needs one problem per mesh, at least one, and meshes of one n")
+    first, n = specs[0], meshes[0].n
+    if any(_data(spec) != _data(first) for spec in specs):
+        raise ValueError("a batch must share the coefficients and d")
+    m = n // 2
+    x = np.stack([mesh.points for mesh in meshes])
+    if np.any(x[:, m] != first.d):
+        bad = x[np.argmax(x[:, m] != first.d), m]
         raise ValueError(
-            f"mesh interface node x_{m} = {mesh.points[m]!r} does not match "
-            f"problem discontinuity d = {spec.d!r}"
+            f"mesh interface node x_{m} = {bad!r} does not match "
+            f"problem discontinuity d = {first.d!r}"
         )
-    x = mesh.points
-    h = mesh.steps()  # h[k] = x_{k+1} - x_k, so h_i = h[i-1]
-    eps, mu = spec.epsilon, spec.mu
+    h = np.diff(x)  # h[:, k] = x_{k+1} - x_k
+    eps = np.array([[spec.epsilon] for spec in specs])
+    mu = np.array([[spec.mu] for spec in specs])
 
-    lower = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    upper = np.zeros(n + 1)
-    rhs = np.zeros(n + 1)
+    k = len(specs)
+    lower = np.zeros((k, n + 1))
+    diag = np.zeros((k, n + 1))
+    upper = np.zeros((k, n + 1))
+    rhs = np.zeros((k, n + 1))
 
-    il = np.arange(1, m)
-    xl = x[il]
-    hi, hip = h[il - 1], h[il]
-    hbar = 0.5 * (hi + hip)
-    a_l = evaluate_array(spec.a_left, xl)
-    b_l = evaluate_array(spec.b, xl)
-    f_l = evaluate_array(spec.f_left, xl)
-    lower[il] = -(eps / (hi * hbar) - mu * a_l / hi)
-    diag[il] = eps / (hi * hbar) + eps / (hip * hbar) - mu * a_l / hi + b_l
-    upper[il] = -eps / (hip * hbar)
-    rhs[il] = -f_l
+    def interior(rows: slice, a, f, forward: bool) -> None:
+        # one side's rows, in a call of its own so that its temporaries are
+        # freed before the other side's are made
+        xs = x[:, rows]
+        hi, hip = h[:, rows.start - 1 : rows.stop - 1], h[:, rows]  # h_i and h_{i+1}
+        hbar = 0.5 * (hi + hip)
+        p, q = eps / (hi * hbar), eps / (hip * hbar)  # diffusion towards x_{i-1}, x_{i+1}
+        if forward:  # right of d: convection by the forward difference
+            c = mu * evaluate_array(a, xs) / hip
+            np.negative(p, out=lower[:, rows])
+            diag[:, rows] = p + q + c + evaluate_array(first.b, xs)
+            np.negative(q + c, out=upper[:, rows])
+        else:  # left of d: by the backward difference
+            c = mu * evaluate_array(a, xs) / hi
+            np.subtract(c, p, out=lower[:, rows])
+            diag[:, rows] = p + q - c + evaluate_array(first.b, xs)
+            np.negative(q, out=upper[:, rows])
+        np.negative(evaluate_array(f, xs), out=rhs[:, rows])
 
-    ir = np.arange(m + 1, n)
-    xr = x[ir]
-    hi, hip = h[ir - 1], h[ir]
-    hbar = 0.5 * (hi + hip)
-    a_r = evaluate_array(spec.a_right, xr)
-    b_r = evaluate_array(spec.b, xr)
-    f_r = evaluate_array(spec.f_right, xr)
-    lower[ir] = -eps / (hi * hbar)
-    diag[ir] = eps / (hi * hbar) + eps / (hip * hbar) + mu * a_r / hip + b_r
-    upper[ir] = -(eps / (hip * hbar) + mu * a_r / hip)
-    rhs[ir] = -f_r
+    interior(slice(1, m), first.a_left, first.f_left, forward=False)
+    interior(slice(m + 1, n), first.a_right, first.f_right, forward=True)
 
     # interface: backward difference equals forward difference at d
-    lower[m] = -1.0 / h[m - 1]
-    diag[m] = 1.0 / h[m - 1] + 1.0 / h[m]
-    upper[m] = -1.0 / h[m]
-    rhs[m] = 0.0
+    lower[:, m] = -1.0 / h[:, m - 1]
+    diag[:, m] = 1.0 / h[:, m - 1] + 1.0 / h[:, m]
+    upper[:, m] = -1.0 / h[:, m]
+    rhs[:, m] = 0.0
 
-    diag[0] = 1.0
-    rhs[0] = spec.y0
-    diag[n] = 1.0
-    rhs[n] = spec.y1
+    diag[:, 0] = 1.0
+    rhs[:, 0] = [spec.y0 for spec in specs]
+    diag[:, n] = 1.0
+    rhs[:, n] = [spec.y1 for spec in specs]
 
+    for array in (lower, diag, upper, rhs):
+        array.setflags(write=False)  # the system takes them without a copy
     return TridiagonalSystem(lower, diag, upper, rhs, n)
 
 
+def _data(spec: ProblemSpec) -> tuple:
+    """What a batch shares: the coefficients and the interface point."""
+    return (spec.a_left, spec.a_right, spec.b, spec.f_left, spec.f_right, spec.d)
+
+
 def apply_operator(system: TridiagonalSystem, y) -> np.ndarray:
-    """Tridiagonal matrix-vector product, for residual checks."""
+    """Tridiagonal matrix-vector product, for residual checks.
+
+    A batch takes one vector per system, as a (k, n + 1) array.
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (system.n + 1,):
-        raise ValueError(f"vector must have length n + 1 = {system.n + 1}")
+    if y.shape != system.diag.shape:
+        raise ValueError(f"vector must have length n + 1 = {system.n + 1}, one per system")
     out = system.diag * y
-    out[1:] += system.lower[1:] * y[:-1]
-    out[:-1] += system.upper[:-1] * y[1:]
+    out[..., 1:] += system.lower[..., 1:] * y[..., :-1]
+    out[..., :-1] += system.upper[..., :-1] * y[..., 1:]
     return out
 
 

@@ -9,6 +9,7 @@ from splayer import (
     MeshFamily,
     PivotError,
     SweepCellWarning,
+    TridiagonalSystem,
     build_mesh,
     builtin_example,
     comparison_to_csv,
@@ -261,7 +262,8 @@ def _count_solves(monkeypatch):
     real = analysis.solve_thomas
 
     def counting(system):
-        sizes.append(system.n)
+        # one size per system: a sweep solves a column's systems as one batch
+        sizes.extend([system.n] * (system.diag.size // (system.n + 1)))
         return real(system)
 
     monkeypatch.setattr(analysis, "solve_thomas", counting)
@@ -278,7 +280,8 @@ def test_solves_per_row(monkeypatch, mode):
     per_row = {"regenerate": k + 1, "bisect": 2 * k}[mode]
     assert len(sizes) == 2 * per_row
     if mode == "regenerate":
-        assert sizes == [64, 128, 256, 512, 1024] * 2
+        # column by column: both rows' solves of one size come together
+        assert sizes == [64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024]
 
 
 def test_regenerate_reuse_only_on_doubling(monkeypatch):
@@ -328,3 +331,72 @@ def test_failed_cells_are_named_by_warnings():
     for message, n in zip(messages, (64, 128)):
         assert message.startswith(f"shishkin-bakhvalov sweep cell epsilon = 1e-20, N = {n} ")
         assert "ValueError: mesh nodes must be strictly increasing" in message
+
+
+@pytest.mark.parametrize("mode", analysis.DOUBLE_MESH_MODES)
+@pytest.mark.parametrize("family", [MeshFamily.SHISHKIN_BAKHVALOV, MeshFamily.UNIFORM])
+def test_table_does_not_depend_on_the_batches(monkeypatch, mode, family):
+    # the cap decides which systems share a batch, never their values
+    spec = builtin_example("ex2", epsilon=1e-6, mu=1e-4)
+    args = (spec, "mu", [1e-4, 1e-8, 1e-12], (64, 128, 256))
+    batched = convergence_table(*args, family=family, mode=mode, samples=400)
+    monkeypatch.setattr(analysis, "_BATCH_ROWS", 1)
+    alone = convergence_table(*args, family=family, mode=mode, samples=400)
+    assert batched.errors.tobytes() == alone.errors.tobytes()
+    assert np.all(np.isfinite(batched.errors))
+
+
+def test_zero_pivot_fails_only_its_cells(monkeypatch):
+    # rows mu = 1e-8 and 1e-12 get a zero pivot in every system of n = 64
+    # and 128: their cells at N = 64 and 128 fail, each named in row-major
+    # order with the text its own solve raises; every other cell is untouched
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-4)
+    args = (spec, "mu", [1e-4, 1e-8, 1e-12], (64, 128, 256))
+    clean = convergence_table(*args, samples=400)
+    real = analysis.assemble
+
+    def zero_pivot(specs, meshes):
+        system = real(specs, meshes)
+        if system.diag.ndim == 1 or system.n not in (64, 128):
+            return system
+        diag = system.diag.copy()
+        for i, row_spec in enumerate(specs):
+            if row_spec.mu in (1e-8, 1e-12):
+                diag[i, 5] = 0.0
+        return TridiagonalSystem(system.lower, diag, system.upper, system.rhs, system.n)
+
+    monkeypatch.setattr(analysis, "assemble", zero_pivot)
+    with pytest.warns(SweepCellWarning) as caught:
+        table = convergence_table(*args, samples=400)
+    failed = np.isnan(table.errors)
+    assert failed.tolist() == [[False, False, False], [True, True, False], [True, True, False]]
+    assert table.errors[~failed].tobytes() == clean.errors[~failed].tobytes()
+    messages = [str(w.message) for w in caught if w.category is SweepCellWarning]
+    cause = f"PivotError: {PivotError(5, 0.0)}"
+    assert messages == [
+        f"shishkin-bakhvalov sweep cell mu = {mu!r}, N = {n} left empty: {cause}"
+        for mu in (1e-8, 1e-12) for n in (64, 128)
+    ]
+
+
+def test_table_samples_the_coefficients_once(monkeypatch):
+    calls = []
+    real = analysis.coefficient_bounds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "coefficient_bounds", counting)
+    spec = builtin_example("ex2", epsilon=1e-6, mu=1e-4)
+    mu_values = [10.0**-k for k in range(4, 10)]
+    table = convergence_table(spec, "mu", mu_values, (64, 128), samples=400)
+    assert len(calls) == 1
+    bounds = real(spec, 400)
+    # each row's regime is bitwise the one sampled for that row alone
+    for mu in mu_values:
+        row_spec = builtin_example("ex2", epsilon=1e-6, mu=mu)
+        assert repr(derive_regime(row_spec, 400, bounds)) == repr(derive_regime(row_spec, 400))
+    again = convergence_table(spec, "mu", mu_values, (64, 128), samples=400, bounds=bounds)
+    assert len(calls) == 1
+    assert again.errors.tobytes() == table.errors.tobytes()

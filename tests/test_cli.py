@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,7 +404,7 @@ def test_failed_sweep_cells_named_on_stderr(tmp_path):
     assert done.returncode == 0
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "param,N,E,R"
-    assert lines[1] == "1e-16,64,0.16214710118202003,0.6234672096525039"
+    assert lines[1] == "1e-16,64,0.16214710118202014,0.623467209652506"
     assert len(lines) == 1 + 9 * 3
     for line in lines[1:]:
         param, n, error, order = line.split(",")
@@ -415,3 +416,79 @@ def test_failed_sweep_cells_named_on_stderr(tmp_path):
     assert len(named) == 5 * 3
     cell = next(line for line in named if "epsilon = 1e-20, N = 64 " in line)
     assert "strictly increasing" in cell
+
+
+def _one_line_exit_2(capsys, argv, tmp_path, *fragments):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("splayer: "), err
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("mu_range", ["1e0:1e400", "nan:1e-3"])
+def test_non_finite_range_endpoint_exits_2(tmp_path, capsys, mu_range):
+    argv = ["converge", "--problem", "ex1", "--epsilon", "1e-6", "--mu-range", mu_range,
+            "--n", "64:128"]
+    _one_line_exit_2(capsys, argv, tmp_path, "--mu-range", "must be finite and positive")
+
+
+def test_overrides_of_the_wrong_type_exit_2(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_EX1_DOC, "overrides": [1]}))
+    argv = ["solve", "--problem", str(path), "--epsilon", "1e-6", "--mu", "1e-8", "--n", "64"]
+    _one_line_exit_2(capsys, argv, tmp_path, "overrides must be an object of numbers")
+
+
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "plain.txt").write_text("a file, not a directory\n")
+    base = ["converge", "--problem", "ex1", "--epsilon", "1e-6", "--mu-range", "1e-4:1e-5",
+            "--n", "64"]
+    directory = str(tmp_path / "taken")
+    _one_line_exit_2(capsys, base + ["--output", directory], tmp_path, repr(directory),
+                     "is a directory")
+    nested = str(tmp_path / "plain.txt" / "sub" / "out.csv")
+    _one_line_exit_2(capsys, base + ["--output", nested], tmp_path, repr(nested),
+                     repr(str(tmp_path / "plain.txt")))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "taken"]
+    assert not any((tmp_path / "taken").iterdir())
+
+
+def test_solve_with_boundary_values_near_the_float_limit(tmp_path, capsys):
+    # products like lower * y overflow; the solve and its residual stay finite
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_EX1_DOC, "y0": 1e308, "y1": -1e308}))
+    argv = ["solve", "--problem", str(path), "--epsilon", "1e-2", "--mu", "1e-2", "--n", "64",
+            "--mesh", "uniform"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+    y = [float(row.split(",")[2]) for row in rows]
+    assert y[0] == 1e308 and y[-1] == -1e308 and all(math.isfinite(v) for v in y)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy serves the test oracle only; it must not slow down every run
+    src = str(Path(splayer.__file__).resolve().parent.parent)
+    code = "import sys, splayer.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_compare_samples_the_coefficients_once(tmp_path, monkeypatch):
+    import splayer.problem as problem
+
+    calls = []
+    real = problem._grids
+    monkeypatch.setattr(problem, "_grids", lambda *args: calls.append(args) or real(*args))
+    argv = ["compare", "--problem", "ex1", "--epsilon", "1e-8", "--mu-range", "1e-5:1e-14",
+            "--n", "64:128", "--double-mesh", "regenerate", "--format", "md"]
+    assert run(argv, tmp_path) == 0
+    # validate samples once, and both families' tables share one sampling
+    assert len(calls) == 2

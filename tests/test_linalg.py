@@ -1,6 +1,8 @@
-"""Cyclic reduction and the Thomas loop against the dense oracle, an
-extended-precision reference, residuals and pivot failures."""
+"""Cyclic reduction, single and batched, against the LAPACK oracle, an
+elimination reference in float64 and in extended precision, residuals and
+pivot failures."""
 
+import math
 import sys
 
 import numpy as np
@@ -13,51 +15,46 @@ from splayer import (
     assemble,
     builtin_example,
     derive_regime,
+    problem_from_dict,
     shishkin_bakhvalov_mesh,
     solve_dense_oracle,
     solve_thomas,
+    uniform_mesh,
 )
-from splayer.linalg import _BLOCK, _CUTOVER, _rowwise_residual, _thomas_loop
+from splayer.linalg import _rowwise_residual
 
 
 def _reference_thomas(system):
-    """Elementwise float64 elimination on numpy scalars, one row at a time."""
+    """Elementwise float64 elimination, one row at a time.
+
+    Python floats are IEEE doubles, so each operation rounds as it would on
+    numpy float64 scalars, only faster.
+    """
     n = system.n
-    lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
+    lower, diag, upper, rhs = (v.tolist() for v in
+                               (system.lower, system.diag, system.upper, system.rhs))
     pivot_floor = sys.float_info.min
 
-    c = np.empty(n + 1)
-    g = np.empty(n + 1)
+    c = [0.0] * (n + 1)
+    g = [0.0] * (n + 1)
     pivot = diag[0]
     if abs(pivot) < pivot_floor:
-        raise PivotError(0, float(pivot))
+        raise PivotError(0, pivot)
     c[0] = upper[0] / pivot
     g[0] = rhs[0] / pivot
     for i in range(1, n + 1):
         pivot = diag[i] - lower[i] * c[i - 1]
         if abs(pivot) < pivot_floor:
-            raise PivotError(i, float(pivot))
+            raise PivotError(i, pivot)
         c[i] = upper[i] / pivot
         g[i] = (rhs[i] - lower[i] * g[i - 1]) / pivot
 
-    y = np.empty(n + 1)
+    y = [0.0] * (n + 1)
     y[n] = g[n]
     for i in range(n - 1, -1, -1):
         y[i] = g[i] - c[i] * y[i + 1]
+    y = np.array(y)
     return Solution(y, _rowwise_residual(system, y))
-
-
-def _loop_stage(system):
-    """The Thomas loop alone, as solve_thomas runs it below the cutover."""
-    y = _thomas_loop(system.lower, system.diag, system.upper, system.rhs)
-    return Solution(y, _rowwise_residual(system, y))
-
-
-def _assert_bitwise_equal_to_reference(system, solve=_loop_stage):
-    solution = solve(system)
-    reference = _reference_thomas(system)
-    assert solution.y.tobytes() == reference.y.tobytes()
-    assert solution.residual_inf == reference.residual_inf
 
 
 def _random_dominant_system(rng, n):
@@ -102,10 +99,14 @@ def test_cyclic_reduction_matches_dense_oracle(n):
     assert reduced.residual_inf <= 1e-15
 
 
-@pytest.mark.parametrize("n", [16, _CUTOVER - 1, _CUTOVER])
-def test_solve_at_or_below_cutover_is_the_loop(n):
-    _assert_bitwise_equal_to_reference(_random_dominant_system(np.random.default_rng(n), n),
-                                       solve=solve_thomas)
+@pytest.mark.parametrize("n", [16, 255, 256])
+def test_small_solve_matches_the_reference_elimination(n):
+    # small systems take the same cyclic reduction as large ones
+    system = _random_dominant_system(np.random.default_rng(n), n)
+    reduced = solve_thomas(system)
+    reference = _reference_thomas(system)
+    assert np.max(np.abs(reduced.y - reference.y)) <= 1e-14 * np.max(np.abs(reference.y))
+    assert reduced.residual_inf <= 1e-15
 
 
 def test_assembled_system_residual():
@@ -120,7 +121,7 @@ def test_known_vector_recovery():
     rng = np.random.default_rng(3)
     from splayer.scheme import apply_operator
 
-    for n in (8, 32, 128, 4 * _CUTOVER + 3):
+    for n in (8, 32, 128, 1027):
         system = _random_dominant_system(rng, n)
         v = rng.normal(size=n + 1)
         forced = TridiagonalSystem(
@@ -140,22 +141,47 @@ def test_zero_pivot_names_row():
     assert err.value.row == 2
 
 
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def _batch(systems):
+    n = systems[0].n
+    return TridiagonalSystem(*(np.stack([getattr(s, name) for s in systems])
+                               for name in ("lower", "diag", "upper", "rhs")), n)
+
+
+def _assert_batch_is_single_solves(systems):
+    results = solve_thomas(_batch(systems))
+    assert len(results) == len(systems)
+    for system, result in zip(systems, results):
+        single = solve_thomas(system)
+        assert result.y.tobytes() == single.y.tobytes()
+        assert result.residual_inf == single.residual_inf
+
+
+# the blocked loop is a sweep column's walk over batches of systems, at most
+# analysis._BATCH_ROWS rows each: every batch must solve bitwise as its
+# systems do one at a time
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 12293])
 def test_blocked_loop_is_bitwise_equal_on_random_systems(n):
     rng = np.random.default_rng(n)
-    _assert_bitwise_equal_to_reference(_random_dominant_system(rng, n))
+    _assert_batch_is_single_solves([_random_dominant_system(rng, n) for _ in range(3)])
 
 
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 @pytest.mark.parametrize("mu", [1e-4, 1e-17])
 def test_blocked_loop_is_bitwise_equal_on_assembled_systems(example, mu):
-    spec = builtin_example(example, epsilon=1e-8, mu=mu)
-    regime = derive_regime(spec, samples=200)
-    # SB meshes need n divisible by 8: straddle the block from both sides
-    base = _BLOCK // 8 * 8
-    for n in (base - 8, base, base + 8, 3 * base + 8):
-        mesh = shishkin_bakhvalov_mesh(regime, n, spec.d)
-        _assert_bitwise_equal_to_reference(assemble(spec, mesh))
+    # rows differ in epsilon and mu, so in their meshes and coefficients
+    specs = [builtin_example(example, epsilon=eps, mu=mu * scale)
+             for eps, scale in ((1e-8, 1.0), (1e-6, 10.0), (1e-10, 0.1))]
+    for n in (64, 504, 4096):
+        meshes = [shishkin_bakhvalov_mesh(derive_regime(s, samples=200), n, s.d) for s in specs]
+        batch = assemble(specs, meshes)
+        singles = [assemble(s, mesh) for s, mesh in zip(specs, meshes)]
+        for name in ("lower", "diag", "upper", "rhs"):
+            stacked = np.stack([getattr(single, name) for single in singles])
+            assert getattr(batch, name).tobytes() == stacked.tobytes()
+        _assert_batch_is_single_solves(singles)
 
 
 def _coupled_system(n):
@@ -172,36 +198,39 @@ def _pivot_error(solve, system):
     return err.value.row, err.value.value
 
 
-@pytest.mark.parametrize("row", [_BLOCK, _BLOCK + 1])
-def test_zero_pivot_across_block_boundary(row):
-    n = 2 * _BLOCK + 3
+@pytest.mark.parametrize("row", [4097, 4098])
+def test_zero_pivot_in_one_system_of_a_batch(row):
+    # the middle system has a zero pivot at level 1 (odd row) or, cancelling
+    # exactly, at level 2 (even row); its neighbours solve as they do alone
+    n = 2 * 4096 + 3
+    systems = [TridiagonalSystem(*_coupled_system(n), n) for _ in range(3)]
     lower, diag, upper, rhs = _coupled_system(n)
-    # the modified upper diagonal at row - 1 is the reference's c[row - 1]
-    c = np.empty(row)
-    c[0] = upper[0] / diag[0]
-    for i in range(1, row):
-        c[i] = upper[i] / (diag[i] - lower[i] * c[i - 1])
-    diag[row] = lower[row] * c[row - 1]  # pivot cancels exactly
-    system = TridiagonalSystem(lower, diag, upper, rhs, n)
-    assert _pivot_error(_loop_stage, system) == (row, 0.0) == _pivot_error(
-        _reference_thomas, system
-    )
+    diag[:] = 2.0
+    diag[row] = 1.0 if row % 2 == 0 else 0.0
+    systems[1] = TridiagonalSystem(lower, diag, upper, rhs, n)
+    single = _pivot_error(solve_thomas, systems[1])
+    results = solve_thomas(_batch(systems))
+    assert isinstance(results[1], PivotError)
+    assert (results[1].row, results[1].value) == single == (row, 0.0)
+    assert str(results[1]) == str(PivotError(row, 0.0))
+    for k in (0, 2):
+        assert results[k].y.tobytes() == solve_thomas(systems[k]).y.tobytes()
 
 
-@pytest.mark.parametrize("n, row, stage", [(1000, 602, "reduction"), (512, 400, "loop")])
+@pytest.mark.parametrize("n, row, stage", [(1000, 602, "reduction"), (512, 0, "last")])
 def test_zero_reduced_pivot_names_system_row(n, row, stage):
-    # (-1, 2, -1) rows sum to 0, so one level gives row ``row`` the pivot
-    # s - lower' - upper' from its own row sum s, exactly:
-    #   reduction: row 602 is odd at level 1, -1 + 0.5 + 0.5 = 0
-    #   loop: row 400 is row 200 of the loop stage; its lower coupling is
-    #   cut, so its loop pivot is its reduced diagonal, -0.5 + 0.5 = 0
+    #   reduction: (-1, 2, -1) rows sum to 0, so one level gives row 602,
+    #   odd after it, the pivot s - lower' - upper' from its own row sum s,
+    #   exactly -1 + 0.5 + 0.5 = 0
+    #   last: row 0 is the row left after the last level; a zero diagonal
+    #   without couplings stays zero through every level
     lower, diag, upper, rhs = _coupled_system(n)
     diag[:] = 2.0
     if stage == "reduction":
         diag[row] = 1.0
     else:
-        lower[row] = 0.0
-        diag[row] = 0.5
+        upper[row] = 0.0
+        diag[row] = 0.0
     system = TridiagonalSystem(lower, diag, upper, rhs, n)
     assert _pivot_error(solve_thomas, system) == (row, 0.0)
 
@@ -226,6 +255,7 @@ def _longdouble_thomas(system):
 
 
 def test_solve_is_as_accurate_as_the_loop_against_extended_precision():
+    # the loop is the float64 elimination of _reference_thomas
     # the reference only resolves double rounding with a 64-bit mantissa
     assert np.finfo(np.longdouble).nmant >= 63
     cases = [(example, 1e-8, mu, 1 << 14)
@@ -241,13 +271,13 @@ def test_solve_is_as_accurate_as_the_loop_against_extended_precision():
         def error(y):
             return float(np.max(np.abs(y.astype(np.longdouble) - reference)) / scale)
 
-        loop = error(_loop_stage(system).y)
+        loop = error(_reference_thomas(system).y)
         assert error(solve_thomas(system).y) <= 3.0 * loop, (example, mu, n, loop)
 
 
 def test_subnormal_pivot_names_row_and_value():
-    n = 2 * _BLOCK + 3
-    row = _BLOCK + 1
+    n = 2 * 4096 + 3
+    row = 4096 + 1
     lower, diag, upper, rhs = _coupled_system(n)
     lower[row] = 0.0
     diag[row] = 1e-310
@@ -296,3 +326,63 @@ def test_solution_array_is_frozen():
     solution = solve_thomas(system)
     with pytest.raises(ValueError):
         solution.y[0] = 99.0
+
+
+def _dense_matrix(system):
+    n = system.n
+    matrix = np.zeros((n + 1, n + 1))
+    idx = np.arange(n + 1)
+    matrix[idx, idx] = system.diag
+    matrix[idx[1:], idx[1:] - 1] = system.lower[1:]
+    matrix[idx[:-1], idx[:-1] + 1] = system.upper[:-1]
+    return matrix
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+def test_oracle_matches_a_dense_solve_on_assembled_systems(example):
+    # the banded oracle against LU of the full matrix (np.linalg.solve), in
+    # the sweeps' regimes; wide layers (epsilon = mu = 1e-2) are worse
+    # conditioned, and there the two differ by up to ~2e-11 at n = 1024
+    for epsilon, mu in ((1e-6, 1e-4), (1e-6, 1e-10), (1e-8, 1e-5), (1e-8, 1e-14)):
+        spec = builtin_example(example, epsilon=epsilon, mu=mu)
+        regime = derive_regime(spec, samples=200)
+        for n in (16, 128, 512):
+            system = assemble(spec, shishkin_bakhvalov_mesh(regime, n, spec.d))
+            dense = np.linalg.solve(_dense_matrix(system), system.rhs)
+            oracle = solve_dense_oracle(system).y
+            assert np.max(np.abs(oracle - dense)) <= 1e-13 * np.max(np.abs(dense)), (mu, n)
+
+
+def _longdouble_ratios(system, y):
+    """|A y - rhs| / (|A||y| + |rhs|) per row, in extended precision."""
+    a, b, c, r, v = (np.asarray(w, dtype=np.longdouble) for w in
+                     (system.lower, system.diag, system.upper, system.rhs, y))
+    terms = [b * v, -r, np.zeros_like(v), np.zeros_like(v)]
+    terms[2][1:] = a[1:] * v[:-1]
+    terms[3][:-1] = c[:-1] * v[1:]
+    return np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
+
+
+def test_residual_of_values_near_the_float_limit(recwarn):
+    # y0 = 1e308, y1 = -1e308 on a mesh where epsilon / h^2 = 41: products
+    # like lower * y overflow, in the solve and in the residual, but the
+    # solve stays finite and the scaled rows give the extended-precision
+    # ratios, without a RuntimeWarning
+    assert np.finfo(np.longdouble).maxexp > np.finfo(float).maxexp
+    doc = dict(a_left="-2", a_right="2", b="1", f_left="-1", f_right="1",
+               d=0.5, y0=1e308, y1=-1e308, epsilon=1e-2, mu=1e-2)
+    spec = problem_from_dict(doc)
+    system = assemble(spec, uniform_mesh(64, 0.5))
+    solution = solve_thomas(system)
+    assert np.all(np.isfinite(solution.y))
+    assert np.max(np.abs(solution.y)) == 1e308
+    reference = float(np.max(_longdouble_ratios(system, solution.y)))
+    assert solution.residual_inf <= 1e-15
+    assert abs(solution.residual_inf - reference) <= 1e-15
+    # a perturbed vector has ratios far above rounding: they must match too
+    perturbed = solution.y * (1.0 - 1e-3 * np.cos(np.arange(system.n + 1)))
+    ratios = _longdouble_ratios(system, perturbed)
+    assert float(np.max(ratios)) > 1e-6
+    assert math.isclose(_rowwise_residual(system, perturbed), float(np.max(ratios)),
+                        rel_tol=1e-12)
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]

@@ -17,6 +17,7 @@ from splayer import (
     problem_from_dict,
     validate,
 )
+from splayer.problem import coefficient_bounds
 
 
 def test_builtin_ex1_is_valid():
@@ -188,3 +189,29 @@ def test_load_problem_from_file(tmp_path):
     spec = load_problem(path)
     assert spec.epsilon == 1e-6
     assert spec.mu == 1e-10
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"overrides": [1]}, "overrides must be an object of numbers, got list"),
+    ({"overrides": {"rho": "x"}}, "override rho must be a number, got 'x'"),
+    ({"d": [0.5]}, "d must be a number, got [0.5]"),
+    ({"mu": None}, "mu must be a number, got None"),
+], ids=["overrides-list", "override-text", "d-list", "mu-null"])
+def test_problem_from_dict_rejects_wrong_types(doc, message):
+    with pytest.raises(ValueError) as err:
+        problem_from_dict(dict(_DOC, **doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("example, overrides", [
+    ("ex1", None), ("ex2", None), ("ex2", {"rho": 0.25, "alpha1": 3.0}),
+])
+def test_regime_from_bounds_is_the_sampled_regime(example, overrides):
+    # one sampling serves every (epsilon, mu): the regime is bitwise the same
+    base = replace(builtin_example(example), overrides=overrides)
+    bounds = coefficient_bounds(base, samples=300)
+    for epsilon in (1e-2, 1e-8, 1e-14):
+        for mu in (1.0, 1e-4, 1e-9, 1e-17):
+            spec = replace(base, epsilon=epsilon, mu=mu)
+            sampled = derive_regime(spec, samples=300)
+            assert repr(derive_regime(spec, bounds=bounds)) == repr(sampled)
