@@ -7,6 +7,10 @@ over decades of mu or epsilon reproduce the usual error/order tables, one
 table per mesh family, and a manufactured-solution harness measures true
 nodal errors against a caller-supplied exact solution.
 
+The coefficient constants behind the layer widths are sampled once per
+table, by ``problem.with_constants``: the problem spec then carries them,
+and so does every row spec made from it by ``dataclasses.replace``.
+
 A sweep table is computed column by column: the systems of one N, one per
 swept value, have the same size, so they are assembled and solved together
 as a batch of (k, n + 1) arrays, at most ``_BATCH_ROWS`` rows at a time,
@@ -25,13 +29,7 @@ import numpy as np
 from .expressions import BinOp, Expression, Num, evaluate_array
 from .linalg import Solution, solve_thomas
 from .mesh import Mesh, MeshFamily, build_mesh, refine_double
-from .problem import (
-    DEFAULT_SAMPLES,
-    ProblemSpec,
-    RegimeData,
-    coefficient_bounds,
-    derive_regime,
-)
+from .problem import ProblemSpec, RegimeData, derive_regime, with_constants
 from .scheme import assemble
 
 __all__ = [
@@ -50,8 +48,9 @@ __all__ = [
 
 DOUBLE_MESH_MODES = ("bisect", "regenerate")
 
-# failures that mark a sweep cell as missing instead of aborting the run
-_CELL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+# failures that mark a sweep cell as missing instead of aborting the run;
+# EvaluationError and LinAlgError are ValueErrors, PivotError an ArithmeticError
+_CELL_ERRORS = (ValueError, ArithmeticError)
 
 # most rows one batched assembly and solve takes (at least one system): a
 # sweep column's rows are taken in chunks whose fine systems fit the cap.
@@ -115,10 +114,7 @@ def _fine_mesh(mesh: Mesh, mode: str, regime: RegimeData | None, d: float) -> Me
 
 
 def double_mesh_error(
-    spec: ProblemSpec,
-    mesh: Mesh,
-    mode: str = "bisect",
-    regime: RegimeData | None = None,
+    spec: ProblemSpec, mesh: Mesh, mode: str = "bisect"
 ) -> tuple[float, Solution, Solution]:
     """Double-mesh estimate: max difference at the coarse nodes.
 
@@ -126,13 +122,12 @@ def double_mesh_error(
     shared with the fine mesh and compared directly.  ``"regenerate"``
     rebuilds a fresh mesh of the same family with twice the intervals and
     compares through linear interpolation; useful for sensitivity studies.
-    The fresh mesh uses ``regime``, derived from ``spec`` with the default
-    sampling when not given.
+    The fresh mesh takes its regime from ``derive_regime(spec)``.
     """
     _check_mode(mode)
     coarse = solve_on_mesh(spec, mesh)
-    if mode == "regenerate" and regime is None and mesh.family is not MeshFamily.UNIFORM:
-        regime = derive_regime(spec, DEFAULT_SAMPLES)
+    regenerated = mode == "regenerate" and mesh.family is not MeshFamily.UNIFORM
+    regime = derive_regime(spec) if regenerated else None
     fine_mesh = _fine_mesh(mesh, mode, regime, spec.d)
     fine = solve_on_mesh(spec, fine_mesh)
     return _max_difference(mesh, coarse, fine_mesh, fine, mode), coarse, fine
@@ -269,14 +264,13 @@ def convergence_table(
     n_values: Sequence[int],
     family: MeshFamily = MeshFamily.SHISHKIN_BAKHVALOV,
     mode: str = "bisect",
-    samples: int = DEFAULT_SAMPLES,
-    bounds: tuple[float, float, float, float] | None = None,
 ) -> ConvergenceTable:
     """Fill the error/order grid for one mesh family.
 
-    The coefficients are sampled once for the table (``bounds``, from
-    :func:`~splayer.problem.coefficient_bounds`, skips even that), and the
-    cells are computed column by column, each column's systems in batches
+    The coefficients are sampled once for the table, and not at all when
+    ``spec`` already holds the four constants (see
+    :func:`~splayer.problem.with_constants`), and the cells are computed
+    column by column, each column's systems in batches
     (see ``_table_errors``).  Cell failures are recorded as NaN, each named
     by a :class:`SweepCellWarning` in row-major order, and the sweep
     continues.  In regenerate mode a cell's fine solve is reused as the
@@ -286,10 +280,9 @@ def convergence_table(
     _check_mode(mode)
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
-    specs = [_sweep_spec(spec, sweep_param, value) for value in sweep_values]
-    if bounds is None:
-        bounds = coefficient_bounds(spec, samples)
-    regimes = [derive_regime(s, bounds=bounds) for s in specs]
+    filled = with_constants(spec)
+    specs = [_sweep_spec(filled, sweep_param, value) for value in sweep_values]
+    regimes = [derive_regime(s) for s in specs]
     errors, failures = _table_errors(specs, regimes, family, n_values, mode)
     for j, k in sorted(failures):
         _warn_cell(family, sweep_param, sweep_values[j], n_values[k], failures[j, k])
@@ -323,7 +316,6 @@ def manufactured_convergence(
     exact_d2: Expression,
     n_values: Sequence[int],
     family: MeshFamily = MeshFamily.SHISHKIN_BAKHVALOV,
-    samples: int = DEFAULT_SAMPLES,
 ) -> ConvergenceTable:
     """True-error convergence against a caller-supplied exact solution.
 
@@ -331,6 +323,8 @@ def manufactured_convergence(
     two derivatives (all supplied explicitly; nothing is differentiated
     symbolically), and the boundary values are taken from the exact
     solution.  Errors are max nodal errors, not double-mesh estimates.
+    Only f changes, so the forced problem keeps the constants ``spec``
+    carries, and is sampled only for those it lacks.
     """
     n_values = tuple(int(n) for n in n_values)
     y0, y1 = evaluate_array(exact, [0.0, 1.0]).tolist()
@@ -341,7 +335,7 @@ def manufactured_convergence(
         y0=y0,
         y1=y1,
     )
-    regime = derive_regime(forced, samples)
+    regime = derive_regime(forced)
 
     def cell(n: int) -> float:
         try:

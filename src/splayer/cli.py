@@ -20,20 +20,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import analysis
-from .expressions import EvaluationError, ExpressionSyntaxError, parse
-from .linalg import PivotError
+from .expressions import ExpressionSyntaxError, parse
 from .mesh import MeshFamily, build_mesh, node_regions
 from .problem import (
     DEFAULT_SAMPLES,
     ProblemSpec,
     builtin_example,
-    coefficient_bounds,
     derive_regime,
     load_problem,
     validate,
+    with_constants,
 )
 from .svg import polyline_plot
 
@@ -67,6 +64,9 @@ _CSV_CHUNK = 4096
 # that into a loss
 _FORK_ROWS = 1 << 16
 
+# largest --samples: 100 times the default, two sampling grids of 8 MB each
+_MAX_SAMPLES = 1_000_000
+
 
 class CLIError(Exception):
     """Configuration problem reported with exit status 2."""
@@ -85,7 +85,6 @@ class RunConfig:
     plot: bool
     markers: bool
     double_mesh: str  # bisect | regenerate
-    samples: int
     exact: tuple | None  # (y, y', y'') expressions for manufactured runs
 
 
@@ -327,8 +326,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     output = Path(args.output) if args.output else Path(f"{_DEFAULT_OUTPUT[args.subcommand]}.{fmt}")
     _check_output(output)
 
-    if args.samples < 2:
-        raise CLIError(f"--samples must be at least 2, got {args.samples}")
+    if not 2 <= args.samples <= _MAX_SAMPLES:
+        raise CLIError(f"--samples must lie in [2, {_MAX_SAMPLES}], got {args.samples}")
+    violations = validate(spec, args.samples)
+    if violations:
+        details = "\n  ".join(violations)
+        raise CLIError(f"problem data violates the sign hypotheses:\n  {details}")
+    try:
+        spec = with_constants(spec, args.samples)  # every later step reads them from spec
+    except ValueError as err:
+        raise CLIError(str(err)) from err
 
     return RunConfig(
         subcommand=args.subcommand,
@@ -342,16 +349,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         plot=plot,
         markers=markers,
         double_mesh=double_mesh,
-        samples=args.samples,
         exact=exact,
     )
-
-
-def _check_problem(config: RunConfig) -> None:
-    violations = validate(config.spec, config.samples)
-    if violations:
-        details = "\n  ".join(violations)
-        raise CLIError(f"problem data violates the sign hypotheses:\n  {details}")
 
 
 def _csv_chunks(format_rows, start: int, stop: int) -> Iterator[str]:
@@ -423,7 +422,7 @@ def _write_csv(path: Path, head: str, first: int, stop: int, format_rows) -> Non
 
 
 def _run_solve(config: RunConfig) -> None:
-    regime = derive_regime(config.spec, config.samples)
+    regime = derive_regime(config.spec)
     mesh = build_mesh(config.families[0], regime, config.n_values[0], config.spec.d)
     solution = analysis.solve_on_mesh(config.spec, mesh)
     points, y = mesh.points, solution.y
@@ -449,7 +448,7 @@ def _run_solve(config: RunConfig) -> None:
         write_atomic(config.output.with_suffix(".svg"), svg)
 
 
-def _sweep(config: RunConfig, family: MeshFamily, bounds=None) -> analysis.ConvergenceTable:
+def _sweep(config: RunConfig, family: MeshFamily) -> analysis.ConvergenceTable:
     return analysis.convergence_table(
         config.spec,
         config.sweep_param,
@@ -457,8 +456,6 @@ def _sweep(config: RunConfig, family: MeshFamily, bounds=None) -> analysis.Conve
         config.n_values,
         family=family,
         mode=config.double_mesh,
-        samples=config.samples,
-        bounds=bounds,
     )
 
 
@@ -469,8 +466,7 @@ def _run_converge(config: RunConfig) -> None:
 
 
 def _run_compare(config: RunConfig) -> None:
-    bounds = coefficient_bounds(config.spec, config.samples)  # one sampling for both tables
-    tables = [_sweep(config, family, bounds) for family in config.families]
+    tables = [_sweep(config, family) for family in config.families]
     text = (
         analysis.comparison_to_markdown(tables)
         if config.fmt == "md"
@@ -480,7 +476,7 @@ def _run_compare(config: RunConfig) -> None:
 
 
 def _run_mesh(config: RunConfig) -> None:
-    regime = derive_regime(config.spec, config.samples)
+    regime = derive_regime(config.spec)
     mesh = build_mesh(config.families[0], regime, config.n_values[0], config.spec.d)
     points, steps, regions = mesh.points, mesh.steps(), node_regions(mesh)
 
@@ -508,7 +504,6 @@ def _run_manufactured(config: RunConfig) -> None:
         exact_d2,
         config.n_values,
         family=config.families[0],
-        samples=config.samples,
     )
     text = analysis.table_to_markdown(table) if config.fmt == "md" else analysis.table_to_csv(table)
     write_atomic(config.output, text)
@@ -531,13 +526,16 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         config = build_config(args)
-        _check_problem(config)
     except CLIError as err:
         print(f"splayer: {err}", file=sys.stderr)
         return 2
     try:
         _RUNNERS[config.subcommand](config)
-    except (PivotError, EvaluationError, np.linalg.LinAlgError, ArithmeticError, ValueError) as err:
+    except OSError as err:  # a failed write: write_atomic left the old target in place
+        target = err.filename2 or config.output  # os.replace names the target second
+        print(f"splayer: cannot write {target}: {err.strerror or err}", file=sys.stderr)
+        return 2
+    except (ValueError, ArithmeticError) as err:  # PivotError, EvaluationError, LinAlgError, ...
         print(f"splayer: numerical failure: {err}", file=sys.stderr)
         return 3
     except MemoryError as err:

@@ -40,7 +40,14 @@ class Solution:
 
     def __post_init__(self):
         object.__setattr__(self, "y", frozen_array(self.y))
-        if not math.isfinite(self.residual_inf):
+        if not math.isfinite(self.residual_inf):  # as it is wherever y is not finite
+            bad = ~np.isfinite(self.y)
+            if bad.any():  # a finite system whose elimination overflowed
+                row = int(np.argmax(bad))
+                raise ValueError(
+                    f"solution Y[{row}] = {float(self.y[row])!r} is the first non-finite "
+                    "value: the elimination left the float range"
+                )
             raise ValueError(f"residual must be finite, got {self.residual_inf}")
 
 

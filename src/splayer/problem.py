@@ -8,13 +8,19 @@ where ``a`` and ``f`` are given one-sidedly about an interior point ``d``
 and may jump there, ``a < 0`` left of ``d``, ``a > 0`` right of it, and
 ``b > 0`` throughout.  This module validates those sign hypotheses by
 sampling and derives the constants that control the layer widths.
+
+The constants alpha1, alpha2, rho and gamma depend on the coefficients
+only, so a problem carries them in ``ProblemSpec.overrides``:
+:func:`with_constants` fills in, from one sampling pass, those the user
+did not give, and a filled spec is never sampled again, whatever epsilon
+and mu it is later given.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -28,7 +34,7 @@ __all__ = [
     "ProblemSpec",
     "RegimeData",
     "validate",
-    "coefficient_bounds",
+    "with_constants",
     "derive_regime",
     "builtin_example",
     "problem_from_dict",
@@ -130,6 +136,8 @@ def _sample_grid(lo: float, hi: float, samples: int) -> np.ndarray:
 
 
 def _grids(spec: ProblemSpec, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     return (
         _sample_grid(0.0, spec.d, samples),
         _sample_grid(spec.d, 1.0, samples),
@@ -142,8 +150,6 @@ def validate(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> list[str]:
     An empty list means the problem data is admissible.  Coefficient
     evaluation failures are reported as violations rather than raised.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
     left, right = _grids(spec, samples)
     violations: list[str] = []
 
@@ -178,60 +184,51 @@ def validate(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> list[str]:
     return violations
 
 
-def coefficient_bounds(
-    spec: ProblemSpec, samples: int = DEFAULT_SAMPLES
-) -> tuple[float, float, float, float]:
-    """The constants (alpha1, alpha2, rho, gamma), from one sampling pass.
+def with_constants(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> ProblemSpec:
+    """``spec`` with all four constants (alpha1, alpha2, rho, gamma) in ``overrides``.
 
-    They depend on the coefficients and ``spec.overrides`` only, not on
-    epsilon or mu, so a sweep over either samples once.  Values supplied in
-    ``spec.overrides`` take precedence over sampled estimates.  The spec
+    Constants the user gave are kept; the others are sampled in one pass
+    over ``samples`` points per subinterval.  A spec that already holds all
+    four is returned as it is, without sampling, so a sweep that varies
+    epsilon or mu by :func:`dataclasses.replace` samples once.  The spec
     must satisfy :func:`validate`; constants that come out non-positive
     raise ``ValueError``.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    given = dict(spec.overrides or {})
+    if len(given) == len(OVERRIDE_KEYS):  # the keys are checked by ProblemSpec
+        return spec
     left, right = _grids(spec, samples)
-    overrides = dict(spec.overrides or {})
-
     a_l = evaluate_array(spec.a_left, left)
     a_r = evaluate_array(spec.a_right, right)
     b_l = evaluate_array(spec.b, left)
     b_r = evaluate_array(spec.b, right)
-
-    alpha1 = overrides.get("alpha1", -float(np.max(a_l)))
-    alpha2 = overrides.get("alpha2", float(np.min(a_r)))
-    if "rho" in overrides:
-        rho = overrides["rho"]
-    else:
-        with np.errstate(divide="ignore"):
-            ratios = np.concatenate([np.abs(b_l / a_l), np.abs(b_r / a_r)])
-        rho = float(np.min(ratios))
-    gamma = overrides.get("gamma", float(min(np.min(b_l), np.min(b_r))))
-
-    for name, value in (("alpha1", alpha1), ("alpha2", alpha2), ("rho", rho), ("gamma", gamma)):
+    with np.errstate(divide="ignore"):
+        ratios = np.concatenate([np.abs(b_l / a_l), np.abs(b_r / a_r)])
+    constants = {
+        "alpha1": -float(np.max(a_l)),
+        "alpha2": float(np.min(a_r)),
+        "rho": float(np.min(ratios)),
+        "gamma": float(min(np.min(b_l), np.min(b_r))),
+        **given,
+    }
+    for name, value in constants.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(
                 f"derived {name} = {value} is not positive; the problem violates "
                 "the sign hypotheses (see validate())"
             )
-    return alpha1, alpha2, rho, gamma
+    return replace(spec, overrides=constants)
 
 
-def derive_regime(
-    spec: ProblemSpec,
-    samples: int = DEFAULT_SAMPLES,
-    bounds: tuple[float, float, float, float] | None = None,
-) -> RegimeData:
+def derive_regime(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> RegimeData:
     """Derive the layer-regime constants of ``spec``.
 
-    The coefficient constants come from :func:`coefficient_bounds`, or from
-    ``bounds`` when the caller already has them for these coefficients;
-    the case and the widths then follow from epsilon and mu in closed form.
+    The coefficient constants come from :func:`with_constants`, so a spec
+    that holds all four is not sampled; the case and the widths then follow
+    from epsilon and mu in closed form.
     """
-    if bounds is None:
-        bounds = coefficient_bounds(spec, samples)
-    alpha1, alpha2, rho, gamma = bounds
+    constants = with_constants(spec, samples).overrides
+    alpha1, alpha2, rho, gamma = (constants[key] for key in OVERRIDE_KEYS)
     alpha = abs(min(alpha1, alpha2))
     if math.sqrt(alpha) * spec.mu <= math.sqrt(rho * spec.epsilon):
         case = Case.ONE

@@ -11,6 +11,7 @@ differences at ``d`` and replaces the differential equation there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,6 +99,8 @@ def assemble(
     return TridiagonalSystem(batch.lower[0], batch.diag[0], batch.upper[0], batch.rhs[0], mesh.n)
 
 
+# entries that leave the float range are named by _check_finite, not warned about
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _assemble(specs: list[ProblemSpec], meshes: list[Mesh]) -> TridiagonalSystem:
     if not meshes or len(specs) != len(meshes) or any(mesh.n != meshes[0].n for mesh in meshes):
         raise ValueError("a batch needs one problem per mesh, at least one, and meshes of one n")
@@ -155,9 +158,33 @@ def _assemble(specs: list[ProblemSpec], meshes: list[Mesh]) -> TridiagonalSystem
     diag[:, n] = 1.0
     rhs[:, n] = [spec.y1 for spec in specs]
 
+    _check_finite(lower=lower, diag=diag, upper=upper)  # rhs holds f (checked) and y0, y1
     for array in (lower, diag, upper, rhs):
         array.setflags(write=False)  # the system takes them without a copy
     return TridiagonalSystem(lower, diag, upper, rhs, n)
+
+
+def _check_finite(**arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` at the first row with a non-finite entry, naming its array.
+
+    The coefficients are finite wherever they are evaluated, so such an
+    entry comes from the mesh steps: near the float limits their products
+    underflow to 0, or the quotients by them overflow.
+    """
+    if all(math.isfinite(array.sum()) for array in arrays.values()):
+        return  # a sum with a non-finite term is not finite; one that overflows is scanned
+    first = None
+    for name, array in arrays.items():
+        rows = np.flatnonzero(~np.isfinite(array).all(axis=0))  # over a batch's systems
+        if rows.size and (first is None or rows[0] < first[0]):
+            first = (rows[0], name, array[:, rows[0]])
+    if first is not None:
+        row, name, column = first
+        value = float(column[~np.isfinite(column)][0])
+        raise ValueError(
+            f"assembled {name}[{row}] = {value!r} is the first non-finite entry: "
+            "products and quotients of the mesh steps leave the float range there"
+        )
 
 
 def _data(spec: ProblemSpec) -> tuple:

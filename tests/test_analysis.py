@@ -1,6 +1,7 @@
 """Double-mesh estimates, sweep tables, manufactured solutions, emission."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,12 +57,12 @@ def test_double_mesh_regenerate_mode():
     with pytest.raises(ValueError):
         double_mesh_error(spec, mesh, mode="bogus")
     with pytest.raises(ValueError, match="double-mesh mode"):
-        convergence_table(spec, "mu", [1e-8], [32], mode="bogus", samples=50)
+        convergence_table(spec, "mu", [1e-8], [32], mode="bogus")
 
 
 def test_single_pair_order_matches_definition():
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
-    table = convergence_table(spec, "mu", [1e-10], [64, 128], samples=400)
+    table = convergence_table(spec, "mu", [1e-10], [64, 128])
     assert table.orders.shape == (1, 1)
     expected = math.log2(table.errors[0, 0] / table.errors[0, 1])
     assert table.orders[0, 0] == expected  # identity holds bit for bit
@@ -69,7 +70,7 @@ def test_single_pair_order_matches_definition():
 
 def test_orders_identity_across_full_table():
     spec = builtin_example("ex2", epsilon=1e-8, mu=1e-6)
-    table = convergence_table(spec, "mu", [1e-6, 1e-8], [64, 128, 256], samples=400)
+    table = convergence_table(spec, "mu", [1e-6, 1e-8], [64, 128, 256])
     recomputed = np.log2(table.errors[:, :-1] / table.errors[:, 1:])
     assert np.array_equal(table.orders, recomputed)
     assert np.all(table.errors > 0.0)
@@ -77,7 +78,7 @@ def test_orders_identity_across_full_table():
 
 def test_errors_decrease_for_paper_problem():
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
-    table = convergence_table(spec, "mu", [1e-10], [64, 128, 256, 512, 1024], samples=400)
+    table = convergence_table(spec, "mu", [1e-10], [64, 128, 256, 512, 1024])
     assert np.all(np.diff(table.errors[0]) < 0.0)
 
 
@@ -85,7 +86,7 @@ def test_epsilon_uniformity_band():
     # errors at fixed n stay within a small band across epsilon decades
     spec = builtin_example("ex1", epsilon=1e-8, mu=1e-10)
     eps_values = [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14]
-    table = convergence_table(spec, "epsilon", eps_values, [512], samples=400)
+    table = convergence_table(spec, "epsilon", eps_values, [512])
     column = table.errors[:, 0]
     assert float(np.max(column) / np.min(column)) <= 3.0
 
@@ -101,7 +102,7 @@ def test_cell_failure_recorded_as_missing(monkeypatch):
 
     monkeypatch.setattr(analysis, "refine_double", flaky)
     with pytest.warns(SweepCellWarning, match="N = 128 left empty: ValueError: synthetic"):
-        table = convergence_table(spec, "mu", [1e-10], [64, 128, 256], samples=400)
+        table = convergence_table(spec, "mu", [1e-10], [64, 128, 256])
     assert math.isnan(table.errors[0, 1])
     assert not math.isnan(table.errors[0, 0])
     assert not math.isnan(table.errors[0, 2])
@@ -110,7 +111,7 @@ def test_cell_failure_recorded_as_missing(monkeypatch):
 
 def _family_tables(spec, mu_values, n_values, families=COMPARED):
     return [
-        convergence_table(spec, "mu", mu_values, n_values, family=family, samples=400)
+        convergence_table(spec, "mu", mu_values, n_values, family=family)
         for family in families
     ]
 
@@ -127,7 +128,7 @@ def test_comparison_pairs_families():
     md_rows = comparison_to_markdown(tables).splitlines()[2:]
     assert [row.split(" | ")[1] for row in md_rows] == [f.value for f in families] * 2
     # tables of different sweeps cannot be paired
-    other = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 256], samples=400)
+    other = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 256])
     for writer in (comparison_to_csv, comparison_to_markdown):
         with pytest.raises(ValueError, match="must share the sweep"):
             writer([tables[0], other])
@@ -139,7 +140,7 @@ def test_manufactured_smooth_solution_first_order():
     d1 = parse("-pi*sin(pi*x)")
     d2 = parse("-pi^2*cos(pi*x)")
     with pytest.warns(UserWarning):
-        table = manufactured_convergence(spec, exact, d1, d2, [64, 128, 256, 512], samples=400)
+        table = manufactured_convergence(spec, exact, d1, d2, [64, 128, 256, 512])
     assert np.all(np.diff(table.errors[0]) < 0.0)
     assert table.orders[0, -1] == pytest.approx(1.0, abs=0.1)
 
@@ -147,7 +148,7 @@ def test_manufactured_smooth_solution_first_order():
 def test_manufactured_constant_is_exact():
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-6)
     table = manufactured_convergence(
-        spec, parse("4"), parse("0"), parse("0"), [16, 32], samples=400
+        spec, parse("4"), parse("0"), parse("0"), [16, 32]
     )
     assert np.all(table.errors[0] <= 1e-10)
 
@@ -157,14 +158,14 @@ def test_manufactured_linear_is_exact():
     spec = builtin_example("ex1", epsilon=1e-4, mu=1e-4)
     table = manufactured_convergence(
         spec, parse("x"), parse("1"), parse("0"), [64, 128, 256],
-        family=MeshFamily.UNIFORM, samples=400,
+        family=MeshFamily.UNIFORM,
     )
     assert np.all(table.errors[0] <= 1e-12)
 
 
 def test_table_csv_schema_round_trips():
     spec = builtin_example("ex1", epsilon=1e-8, mu=1e-8)
-    table = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 128], samples=400)
+    table = convergence_table(spec, "mu", [1e-8, 1e-9], [64, 128])
     text = table_to_csv(table)
     lines = text.strip().splitlines()
     assert lines[0] == "param,N,E,R"
@@ -183,7 +184,7 @@ def test_table_csv_schema_round_trips():
 
 def test_table_markdown_layout():
     spec = builtin_example("ex1", epsilon=1e-8, mu=1e-8)
-    table = convergence_table(spec, "mu", [1e-8], [64, 128], samples=400)
+    table = convergence_table(spec, "mu", [1e-8], [64, 128])
     text = table_to_markdown(table)
     lines = text.strip().splitlines()
     assert lines[0].startswith("| mu | N=64 | N=128 |")
@@ -244,7 +245,7 @@ def test_regenerate_reuse_matches_cell_by_cell(family, example, n_values):
     mu_values = [1e-4, 1e-10]
     for mode in analysis.DOUBLE_MESH_MODES:
         table = convergence_table(
-            spec, "mu", mu_values, n_values, family=family, mode=mode, samples=400
+            spec, "mu", mu_values, n_values, family=family, mode=mode
         )
         expected = np.empty((len(mu_values), len(n_values)))
         for j, mu in enumerate(mu_values):
@@ -252,7 +253,7 @@ def test_regenerate_reuse_matches_cell_by_cell(family, example, n_values):
             regime = derive_regime(row_spec, 400)
             for k, n in enumerate(n_values):
                 mesh = build_mesh(family, regime, n, row_spec.d)
-                expected[j, k], _, _ = double_mesh_error(row_spec, mesh, mode, regime)
+                expected[j, k], _, _ = double_mesh_error(row_spec, mesh, mode)
         assert table.errors.tobytes() == expected.tobytes(), mode
         assert np.all(np.isfinite(table.errors)), mode
 
@@ -276,7 +277,7 @@ def test_solves_per_row(monkeypatch, mode):
     n_values = (64, 128, 256, 512)
     k = len(n_values)
     sizes = _count_solves(monkeypatch)
-    convergence_table(spec, "mu", [1e-10, 1e-12], n_values, mode=mode, samples=400)
+    convergence_table(spec, "mu", [1e-10, 1e-12], n_values, mode=mode)
     per_row = {"regenerate": k + 1, "bisect": 2 * k}[mode]
     assert len(sizes) == 2 * per_row
     if mode == "regenerate":
@@ -287,7 +288,7 @@ def test_solves_per_row(monkeypatch, mode):
 def test_regenerate_reuse_only_on_doubling(monkeypatch):
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
     sizes = _count_solves(monkeypatch)
-    convergence_table(spec, "mu", [1e-10], (64, 96, 192, 256), mode="regenerate", samples=400)
+    convergence_table(spec, "mu", [1e-10], (64, 96, 192, 256), mode="regenerate")
     # 64 and 96 solve both meshes, 192 reuses the fine solve of 96, 256 does not
     assert sizes == [64, 128, 96, 192, 384, 256, 512]
 
@@ -305,7 +306,7 @@ def test_failed_fine_solve_is_not_reused(monkeypatch):
     monkeypatch.setattr(analysis, "solve_thomas", failing_at_256)
     with pytest.warns(SweepCellWarning):
         table = convergence_table(
-            spec, "mu", [1e-6], n_values, mode="regenerate", samples=400
+            spec, "mu", [1e-6], n_values, mode="regenerate"
         )
     # the 2N solve of N = 128 fails, and so does the coarse solve of N = 256
     regime = derive_regime(spec, 400)
@@ -313,7 +314,7 @@ def test_failed_fine_solve_is_not_reused(monkeypatch):
     for n in n_values:
         mesh = build_mesh(MeshFamily.SHISHKIN_BAKHVALOV, regime, n, spec.d)
         try:
-            expected.append(double_mesh_error(spec, mesh, "regenerate", regime)[0])
+            expected.append(double_mesh_error(spec, mesh, "regenerate")[0])
         except PivotError:
             expected.append(math.nan)
     assert [math.isnan(e) for e in table.errors[0]] == [False, True, True, False]
@@ -323,7 +324,7 @@ def test_failed_fine_solve_is_not_reused(monkeypatch):
 def test_failed_cells_are_named_by_warnings():
     spec = builtin_example("ex1", epsilon=1e-16, mu=1e-4)
     with pytest.warns(SweepCellWarning) as caught:
-        table = convergence_table(spec, "epsilon", [1e-16, 1e-20], [64, 128], samples=400)
+        table = convergence_table(spec, "epsilon", [1e-16, 1e-20], [64, 128])
     assert np.all(np.isfinite(table.errors[0]))
     assert np.all(np.isnan(table.errors[1]))
     messages = [str(w.message) for w in caught if w.category is SweepCellWarning]
@@ -339,9 +340,9 @@ def test_table_does_not_depend_on_the_batches(monkeypatch, mode, family):
     # the cap decides which systems share a batch, never their values
     spec = builtin_example("ex2", epsilon=1e-6, mu=1e-4)
     args = (spec, "mu", [1e-4, 1e-8, 1e-12], (64, 128, 256))
-    batched = convergence_table(*args, family=family, mode=mode, samples=400)
+    batched = convergence_table(*args, family=family, mode=mode)
     monkeypatch.setattr(analysis, "_BATCH_ROWS", 1)
-    alone = convergence_table(*args, family=family, mode=mode, samples=400)
+    alone = convergence_table(*args, family=family, mode=mode)
     assert batched.errors.tobytes() == alone.errors.tobytes()
     assert np.all(np.isfinite(batched.errors))
 
@@ -352,7 +353,7 @@ def test_zero_pivot_fails_only_its_cells(monkeypatch):
     # order with the text its own solve raises; every other cell is untouched
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-4)
     args = (spec, "mu", [1e-4, 1e-8, 1e-12], (64, 128, 256))
-    clean = convergence_table(*args, samples=400)
+    clean = convergence_table(*args)
     real = analysis.assemble
 
     def zero_pivot(specs, meshes):
@@ -367,7 +368,7 @@ def test_zero_pivot_fails_only_its_cells(monkeypatch):
 
     monkeypatch.setattr(analysis, "assemble", zero_pivot)
     with pytest.warns(SweepCellWarning) as caught:
-        table = convergence_table(*args, samples=400)
+        table = convergence_table(*args)
     failed = np.isnan(table.errors)
     assert failed.tolist() == [[False, False, False], [True, True, False], [True, True, False]]
     assert table.errors[~failed].tobytes() == clean.errors[~failed].tobytes()
@@ -380,23 +381,41 @@ def test_zero_pivot_fails_only_its_cells(monkeypatch):
 
 
 def test_table_samples_the_coefficients_once(monkeypatch):
+    import splayer.problem as problem
+
     calls = []
-    real = analysis.coefficient_bounds
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "coefficient_bounds", counting)
+    real = problem._grids
+    monkeypatch.setattr(problem, "_grids", lambda *args: calls.append(args) or real(*args))
     spec = builtin_example("ex2", epsilon=1e-6, mu=1e-4)
     mu_values = [10.0**-k for k in range(4, 10)]
-    table = convergence_table(spec, "mu", mu_values, (64, 128), samples=400)
+    table = convergence_table(spec, "mu", mu_values, (64, 128))
     assert len(calls) == 1
-    bounds = real(spec, 400)
-    # each row's regime is bitwise the one sampled for that row alone
+    # a spec holding the four constants is not sampled again, and every
+    # row's regime is bitwise the one sampled for that row alone
+    filled = problem.with_constants(spec)
+    calls.clear()
+    again = convergence_table(filled, "mu", mu_values, (64, 128))
+    assert calls == []
+    assert again.errors.tobytes() == table.errors.tobytes()
     for mu in mu_values:
         row_spec = builtin_example("ex2", epsilon=1e-6, mu=mu)
-        assert repr(derive_regime(row_spec, 400, bounds)) == repr(derive_regime(row_spec, 400))
-    again = convergence_table(spec, "mu", mu_values, (64, 128), samples=400, bounds=bounds)
-    assert len(calls) == 1
-    assert again.errors.tobytes() == table.errors.tobytes()
+        assert repr(derive_regime(replace(filled, mu=mu))) == repr(derive_regime(row_spec))
+
+
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
+def test_non_finite_system_fails_only_its_cells():
+    # at epsilon = 1e305, epsilon / (h * hbar) overflows: assembly names the
+    # row, and the batch retries its systems one by one
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-4)
+    with pytest.warns(SweepCellWarning) as caught:
+        table = convergence_table(spec, "epsilon", [1e-6, 1e305, 1e-8], [64, 128])
+    assert np.isnan(table.errors).tolist() == [[False, False], [True, True], [False, False]]
+    alone = convergence_table(spec, "epsilon", [1e-6, 1e-8], [64, 128])
+    assert table.errors[[0, 2]].tobytes() == alone.errors.tobytes()
+    messages = [str(w.message) for w in caught if w.category is SweepCellWarning]
+    assert messages == [
+        f"shishkin-bakhvalov sweep cell epsilon = 1e+305, N = {n} left empty: ValueError: "
+        "assembled lower[1] = -inf is the first non-finite entry: products and quotients "
+        "of the mesh steps leave the float range there"
+        for n in (64, 128)
+    ]

@@ -381,8 +381,11 @@ def test_failed_split_csv_leaves_old_target_and_no_child(tmp_path, monkeypatch, 
     target.write_text("old\n")
     argv = [subcommand, "--problem", "ex1", "--epsilon", "1e-6", "--mu", "1e-4",
             "--n", "4096", "--output", str(target)]
-    with pytest.raises(_Injected if side == "parent" else OSError):
-        run(argv, tmp_path)
+    if side == "parent":
+        with pytest.raises(_Injected):
+            run(argv, tmp_path)
+    else:  # the child's failure reaches the parent as an OSError: a failed write
+        assert run(argv, tmp_path) == 2
     assert len(forks) == 1
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
@@ -481,14 +484,77 @@ def test_importing_the_cli_does_not_load_scipy():
     assert done.stdout.strip() == "False"
 
 
-def test_compare_samples_the_coefficients_once(tmp_path, monkeypatch):
+_EX1 = ["--problem", "ex1", "--epsilon", "1e-8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *_EX1, "--mu", "1e-6", "--n", "64", "--plot"],
+    ["converge", *_EX1, "--mu-range", "1e-5:1e-8", "--n", "64:128"],
+    ["compare", *_EX1, "--mu-range", "1e-5:1e-14", "--n", "64:128", "--double-mesh", "regenerate",
+     "--format", "md"],
+    ["mesh", *_EX1, "--mu", "1e-6", "--n", "64"],
+    ["manufactured", *_EX1, "--mu", "1e-6", "--n", "64:128", "--exact", "1+x",
+     "--exact-d1", "1", "--exact-d2", "0"],
+], ids=lambda argv: argv[0])
+def test_subcommand_samples_the_coefficients_twice(tmp_path, monkeypatch, argv):
     import splayer.problem as problem
 
     calls = []
     real = problem._grids
     monkeypatch.setattr(problem, "_grids", lambda *args: calls.append(args) or real(*args))
-    argv = ["compare", "--problem", "ex1", "--epsilon", "1e-8", "--mu-range", "1e-5:1e-14",
-            "--n", "64:128", "--double-mesh", "regenerate", "--format", "md"]
     assert run(argv, tmp_path) == 0
-    # validate samples once, and both families' tables share one sampling
+    # validate samples once, and the constants once; the spec then carries them
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("samples", ["1", "1000000000"])
+def test_samples_outside_the_range_exit_2_before_sampling(tmp_path, capsys, monkeypatch, samples):
+    # 10^9 samples would allocate two 8 GB grids: the flag is refused first
+    import splayer.problem as problem
+
+    monkeypatch.setattr(problem, "_grids", lambda *args: pytest.fail("sampled"))
+    argv = ["solve", *_EX1, "--mu", "1e-6", "--n", "64", "--samples", samples]
+    _one_line_exit_2(capsys, argv, tmp_path, "--samples", str(cli._MAX_SAMPLES))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_exits_2_and_keeps_the_old_target(tmp_path, capsys, monkeypatch):
+    # a rename that is denied stands for any write error; chmod cannot show one to root
+    def denied(src, dst):
+        raise PermissionError(13, "Permission denied", src, None, dst)
+
+    target = tmp_path / "solution.csv"
+    target.write_text("old\n")
+    monkeypatch.setattr(os, "replace", denied)
+    argv = ["solve", *_EX1, "--mu", "1e-6", "--n", "64", "--output", str(target)]
+    _one_line_exit_2(capsys, argv, tmp_path, f"cannot write {target}", "Permission denied")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ({"d": 1e-300}, "assembled lower[1] = -inf is the first non-finite entry: products and "
+     "quotients of the mesh steps leave the float range there"),
+    ({"f_left": "-1e308", "f_right": "1e308"}, "solution Y[0] = nan is the first non-finite "
+     "value: the elimination left the float range"),
+], ids=["steps-underflow", "elimination-overflow"])
+def test_non_finite_system_exits_3_naming_the_row(tmp_path, capsys, doc, cause):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_EX1_DOC, **doc}))
+    argv = ["solve", "--problem", str(path), "--epsilon", "1e-6", "--mu", "1e-6", "--n", "64"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", splayer.TransitionClampWarning)
+        assert run(argv, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert err.strip().splitlines()[-1] == f"splayer: numerical failure: {cause}"
+
+
+def test_constant_that_underflows_exits_2(tmp_path, capsys):
+    # every sampled b/a underflows to 0: the signs hold, but rho does not exist
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_EX1_DOC, "a_left": "-1e300", "a_right": "1e300",
+                                "b": "1e-300"}))
+    argv = ["solve", "--problem", str(path), "--epsilon", "1e-6", "--mu", "1e-6", "--n", "64"]
+    _one_line_exit_2(capsys, argv, tmp_path, "derived rho = 0.0 is not positive")

@@ -17,7 +17,7 @@ from splayer import (
     problem_from_dict,
     validate,
 )
-from splayer.problem import coefficient_bounds
+from splayer.problem import with_constants
 
 
 def test_builtin_ex1_is_valid():
@@ -206,12 +206,21 @@ def test_problem_from_dict_rejects_wrong_types(doc, message):
 @pytest.mark.parametrize("example, overrides", [
     ("ex1", None), ("ex2", None), ("ex2", {"rho": 0.25, "alpha1": 3.0}),
 ])
-def test_regime_from_bounds_is_the_sampled_regime(example, overrides):
+def test_regime_from_bounds_is_the_sampled_regime(example, overrides, monkeypatch):
     # one sampling serves every (epsilon, mu): the regime is bitwise the same
+    import splayer.problem as problem
+
     base = replace(builtin_example(example), overrides=overrides)
-    bounds = coefficient_bounds(base, samples=300)
+    filled = with_constants(base, samples=300)
+    assert set(filled.overrides) == {"alpha1", "alpha2", "rho", "gamma"}
+    assert {k: filled.overrides[k] for k in overrides or {}} == (overrides or {})
+    calls = []
+    real = problem._grids
+    monkeypatch.setattr(problem, "_grids", lambda *args: calls.append(args) or real(*args))
+    assert with_constants(filled) is filled
     for epsilon in (1e-2, 1e-8, 1e-14):
         for mu in (1.0, 1e-4, 1e-9, 1e-17):
             spec = replace(base, epsilon=epsilon, mu=mu)
             sampled = derive_regime(spec, samples=300)
-            assert repr(derive_regime(spec, bounds=bounds)) == repr(sampled)
+            assert repr(derive_regime(replace(filled, epsilon=epsilon, mu=mu))) == repr(sampled)
+    assert len(calls) == 12  # the raw specs only

@@ -176,3 +176,12 @@ def test_apply_operator_identity_zero_and_length():
     assert apply_operator(system, y)[0] == y[0]  # identity row
     with pytest.raises(ValueError):
         apply_operator(system, np.zeros(3))
+
+
+def test_finite_system_whose_sums_overflow_assembles():
+    # the sum of the right-hand side overflows, so the finiteness check scans
+    # the arrays in full and finds every entry finite
+    spec = replace(builtin_example("ex1"), y0=1e308, y1=1e308)
+    system = assemble(spec, uniform_mesh(64, spec.d))
+    assert system.rhs[0] == system.rhs[-1] == 1e308
+    assert np.isfinite(system.rhs).all()
