@@ -11,10 +11,9 @@ The coefficient constants behind the layer widths are sampled once per
 table, by ``problem.with_constants``: the problem spec then carries them,
 and so does every row spec made from it by ``dataclasses.replace``.
 
-A sweep table is computed column by column: the systems of one N, one per
-swept value, have the same size, so they are assembled and solved together
-as a batch of (k, n + 1) arrays, at most ``_BATCH_ROWS`` rows at a time,
-with the same results as one by one (see ``linalg.solve_thomas``).
+A sweep table is computed row by row: each distinct mesh of a row is
+built once, and the row's systems are laid end to end and solved as one
+chain, at most ``_CHAIN_ROWS`` rows at a time (see ``scheme.assemble``).
 """
 
 from __future__ import annotations
@@ -52,13 +51,10 @@ DOUBLE_MESH_MODES = ("bisect", "regenerate")
 # EvaluationError and LinAlgError are ValueErrors, PivotError an ArithmeticError
 _CELL_ERRORS = (ValueError, ArithmeticError)
 
-# most rows one batched assembly and solve takes (at least one system): a
-# sweep column's rows are taken in chunks whose fine systems fit the cap.
-# Larger batches pay less per-call overhead but raise the peak memory: on a
-# converge sweep of ex2 (14 mu rows, N = 64..4096, 2 vCPU), where solving
-# one system at a time peaked at 31.7 MB, 2^14 peaked 0.6 MB higher, 2^15
-# 2.7 MB and one batch per column (2^17) 14 MB
-_BATCH_ROWS = 1 << 14
+# most rows one chained assembly and solve takes; a larger system runs
+# alone.  A sweep row of ex2 (N = 64..4096, bisect) is 24 398 rows, one
+# chain; without a cap a row with N up to 2^18 nearly doubled the peak memory
+_CHAIN_ROWS = 1 << 16
 
 
 class SweepCellWarning(UserWarning):
@@ -106,13 +102,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"double-mesh mode must be one of {DOUBLE_MESH_MODES}, got {mode!r}")
 
 
-def _fine_mesh(mesh: Mesh, mode: str, regime: RegimeData | None, d: float) -> Mesh:
-    """The mesh with twice the intervals that ``mesh`` is compared against."""
-    if mode == "bisect":
-        return refine_double(mesh)
-    return build_mesh(mesh.family, regime, 2 * mesh.n, d)
-
-
 def double_mesh_error(
     spec: ProblemSpec, mesh: Mesh, mode: str = "bisect"
 ) -> tuple[float, Solution, Solution]:
@@ -128,110 +117,89 @@ def double_mesh_error(
     coarse = solve_on_mesh(spec, mesh)
     regenerated = mode == "regenerate" and mesh.family is not MeshFamily.UNIFORM
     regime = derive_regime(spec) if regenerated else None
-    fine_mesh = _fine_mesh(mesh, mode, regime, spec.d)
+    fine_mesh = (refine_double(mesh) if mode == "bisect"
+                 else build_mesh(mesh.family, regime, 2 * mesh.n, spec.d))
     fine = solve_on_mesh(spec, fine_mesh)
-    return _max_difference(mesh, coarse, fine_mesh, fine, mode), coarse, fine
+    return _max_difference(mesh, coarse.y, fine_mesh, fine.y, mode), coarse, fine
 
 
 def _max_difference(
-    mesh: Mesh, coarse: Solution, fine_mesh: Mesh, fine: Solution, mode: str
+    mesh: Mesh, coarse: np.ndarray, fine_mesh: Mesh, fine: np.ndarray, mode: str
 ) -> float:
     if mode == "bisect":
-        matched = fine.y[0::2]
+        matched = fine[0::2]
     else:
-        matched = np.interp(mesh.points, fine_mesh.points, fine.y)
-    return float(np.max(np.abs(coarse.y - matched)))
+        matched = np.interp(mesh.points, fine_mesh.points, fine)
+    return float(np.max(np.abs(coarse - matched)))
 
 
-def _solve_batch(specs: list[ProblemSpec], meshes: list[Mesh]) -> list:
-    """Each system's Solution, or the exception that ended it, in order.
+def _solve_run(spec: ProblemSpec, meshes: list[Mesh]) -> list:
+    """Each mesh's nodal values, or the exception its own solve raises, in order.
 
-    One batched assembly and solve serves all the (equally sized) systems.
-    Should the batch raise as a whole, for instance on a coefficient that
-    fails to evaluate on one mesh, each system is retried alone, so that a
-    failure ends only the cells it belongs to.
+    The meshes' systems are assembled and solved as one chain, and each
+    mesh's values are sliced out of it.  Should the chain raise, for
+    instance on a zero pivot in one block, each system is solved alone, so
+    a failure ends only its own cells, with the message of its own solve.
     """
     try:
-        if len(meshes) == 1:  # one system: the single solve's 1-D arrays are faster
-            return [solve_thomas(assemble(specs[0], meshes[0]))]
-        return solve_thomas(assemble(specs, meshes))
+        y = solve_thomas(assemble(spec, meshes)).y
     except _CELL_ERRORS as err:
         if len(meshes) == 1:
             return [err]
-        return [result for s, m in zip(specs, meshes) for result in _solve_batch([s], [m])]
+        return [result for mesh in meshes for result in _solve_run(spec, [mesh])]
+    return np.split(y, np.cumsum([mesh.n + 1 for mesh in meshes[:-1]]))
 
 
-def _stage(rows, step, failed) -> dict:
-    """``{j: step(j)}`` for each row j whose step does not fail."""
-    done = {}
-    for j in rows:
-        try:
-            done[j] = step(j)
-        except _CELL_ERRORS as err:
-            failed(j, err)
-    return done
+def _runs(meshes: list[Mesh]) -> list[list[Mesh]]:
+    """Consecutive meshes, in order, in runs of at most ``_CHAIN_ROWS`` rows."""
+    runs = []
+    for mesh in meshes:
+        if runs and sum(m.n + 1 for m in runs[-1]) + mesh.n + 1 <= _CHAIN_ROWS:
+            runs[-1].append(mesh)
+        else:  # a new run, which a mesh above the cap fills alone
+            runs.append([mesh])
+    return runs
 
 
-def _solved(specs, meshes: dict, failed) -> dict:
-    """``{j: (mesh, solution)}`` for each row of ``meshes`` whose batched solve succeeds."""
-    rows = list(meshes)
-    results = _solve_batch([specs[j] for j in rows], [meshes[j] for j in rows]) if rows else []
-    done = {}
-    for j, result in zip(rows, results):
-        if isinstance(result, Exception):
-            failed(j, result)
-        else:
-            done[j] = (meshes[j], result)
-    return done
-
-
-def _table_errors(
-    specs: list[ProblemSpec],
-    regimes: list[RegimeData],
-    family: MeshFamily,
-    n_values: tuple[int, ...],
-    mode: str,
+def _row_errors(
+    spec: ProblemSpec, regime: RegimeData, family: MeshFamily, n_values: tuple[int, ...], mode: str
 ) -> tuple[np.ndarray, dict]:
-    """Double-mesh errors of a whole table, and the exception of each failed cell.
+    """Double-mesh errors of one sweep row, and the exception of each failed cell.
 
-    The walk goes column by column: at each N the rows' meshes and fine
-    meshes are built one at a time, and the rows' systems of one size are
-    assembled and solved as one batch of at most ``_BATCH_ROWS`` rows, so a
-    failing system ends only its own cell.  In regenerate mode a row's fine
-    solve at 2N is kept, and the row's cell at that N takes it as its
-    coarse solve; only a next N of 2N can take it, so nothing else is kept.
-    A bisected mesh is not the mesh built for 2N, so bisect mode keeps
-    nothing.  Meshing, assembly and the solve are deterministic and never
-    mix rows, so every error equals ``double_mesh_error`` cell by cell.  A
-    solve that fails is not kept; the next cell recomputes it and fails the
-    same way.  Failures map (row, column) to their exception.
+    Each distinct mesh of the row is built once: the mesh for each N, and
+    its bisection or, in regenerate mode, the mesh built for 2N, which is
+    also the cell's own mesh where N is that 2N.  Their systems are solved
+    in row order, in chains of consecutive meshes (``_runs``,
+    ``_solve_run``).  A cell fails with the first exception of its mesh,
+    its solve, its fine mesh and its fine solve, in that order, as
+    ``double_mesh_error`` would raise.  Failures map the column to their
+    exception.
     """
-    d = specs[0].d
-    errors = np.full((len(specs), len(n_values)), math.nan)
+    cells = [((n, False), (n, True) if mode == "bisect" else (2 * n, False)) for n in n_values]
+    meshes = {}  # (n, bisected) -> Mesh, or the exception building it raised
+    for key in dict.fromkeys(key for cell in cells for key in cell):
+        n, bisected = key
+        try:
+            if not bisected:
+                meshes[key] = build_mesh(family, regime, n, spec.d)
+            else:  # the bisection of a mesh that failed fails with it
+                coarse = meshes[n, False]
+                meshes[key] = refine_double(coarse) if isinstance(coarse, Mesh) else coarse
+        except _CELL_ERRORS as err:
+            meshes[key] = err
+    built = [key for key, mesh in meshes.items() if isinstance(mesh, Mesh)]
+    solved = [y for run in _runs([meshes[key] for key in built]) for y in _solve_run(spec, run)]
+    values = dict(zip(built, solved))  # nodal values, or the exception solving raised
+    errors = np.full(len(cells), math.nan)
     failures = {}
-    kept = [None] * len(specs)  # per row: (mesh, solution) of a fine solve the next N reuses
-    for k, n in enumerate(n_values):
-
-        def failed(j: int, err: Exception, k: int = k) -> None:
-            failures[j, k] = err
-
-        per_batch = max(1, _BATCH_ROWS // (2 * n + 1))
-        reuse = mode == "regenerate" and 2 * n in n_values[k + 1 : k + 2]
-        for start in range(0, len(specs), per_batch):
-            rows = range(start, min(start + per_batch, len(specs)))
-            reused = {j: kept[j] for j in rows if kept[j] is not None}
-            for j in rows:
-                kept[j] = None
-            fresh = _stage([j for j in rows if j not in reused],
-                           lambda j: build_mesh(family, regimes[j], n, d), failed)
-            coarse = _solved(specs, fresh, failed) | reused
-            fine = _stage(sorted(coarse), lambda j: _fine_mesh(coarse[j][0], mode, regimes[j], d),
-                          failed)
-            for j, (fine_mesh, fine_solution) in _solved(specs, fine, failed).items():
-                mesh, solution = coarse[j]
-                if reuse:
-                    kept[j] = (fine_mesh, fine_solution)
-                errors[j, k] = _max_difference(mesh, solution, fine_mesh, fine_solution, mode)
+    for k, (coarse, fine) in enumerate(cells):
+        steps = (meshes[coarse], values.get(coarse), meshes[fine], values.get(fine))
+        failure = next((step for step in steps if isinstance(step, Exception)), None)
+        if failure is not None:
+            failures[k] = failure
+        else:
+            errors[k] = _max_difference(meshes[coarse], values[coarse], meshes[fine],
+                                        values[fine], mode)
     return errors, failures
 
 
@@ -270,22 +238,22 @@ def convergence_table(
     The coefficients are sampled once for the table, and not at all when
     ``spec`` already holds the four constants (see
     :func:`~splayer.problem.with_constants`), and the cells are computed
-    column by column, each column's systems in batches
-    (see ``_table_errors``).  Cell failures are recorded as NaN, each named
-    by a :class:`SweepCellWarning` in row-major order, and the sweep
-    continues.  In regenerate mode a cell's fine solve is reused as the
-    coarse solve of the next cell when that cell's N doubles the previous
-    one.
+    row by row, each row's systems in chains (see ``_row_errors``).  Cell
+    failures are recorded as NaN, each named by a :class:`SweepCellWarning`
+    in row-major order, and the sweep continues.  In regenerate mode a
+    cell's fine solve is reused as the coarse solve of the cell whose N is
+    twice that cell's.
     """
     _check_mode(mode)
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     filled = with_constants(spec)
-    specs = [_sweep_spec(filled, sweep_param, value) for value in sweep_values]
-    regimes = [derive_regime(s) for s in specs]
-    errors, failures = _table_errors(specs, regimes, family, n_values, mode)
-    for j, k in sorted(failures):
-        _warn_cell(family, sweep_param, sweep_values[j], n_values[k], failures[j, k])
+    errors = np.empty((len(sweep_values), len(n_values)))
+    for j, value in enumerate(sweep_values):
+        row_spec = _sweep_spec(filled, sweep_param, value)
+        errors[j], failures = _row_errors(row_spec, derive_regime(row_spec), family, n_values, mode)
+        for k in sorted(failures):
+            _warn_cell(family, sweep_param, value, n_values[k], failures[k])
     return ConvergenceTable(
         sweep_param=sweep_param,
         sweep_values=sweep_values,

@@ -269,7 +269,7 @@ def evaluate_array(expression: Expression, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         values = _eval(expression, xs)
-    if np.ndim(values) == 0:  # constant expression
+    if np.shape(values) == ():  # constant expression
         values = np.full(xs.shape, float(values))
     else:
         values = np.asarray(values, dtype=float)

@@ -4,13 +4,12 @@ The production path solves without pivoting, which is safe on the
 M-matrix systems the scheme assembles: odd-even cyclic reduction (Hockney
 1965; Buzbee, Golub, Nielson 1970) halves the system one vectorised level
 at a time until a single row is left, and back substitution recovers the
-eliminated rows.  A level never mixes rows of different systems, so a
-batch of equally sized systems, stacked as (k, n + 1) arrays, is reduced
-by the same numpy calls as one system; a pivot breakdown in one of them
-leaves the others untouched and is reported as a structured error pointing
-at the offending row.  The oracle hands the three diagonals to LAPACK's
-partially pivoted tridiagonal elimination; it exists to validate the
-production path in tests.
+eliminated rows; a pivot breakdown is reported as a structured error
+pointing at the offending row.  The solver knows nothing of blocks:
+systems laid end to end, each with no coupling out of its first and last
+row, are one system to it (see ``scheme.assemble``).  The oracle hands the
+three diagonals to LAPACK's partially pivoted tridiagonal elimination; it
+exists to validate the production path in tests.
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ def _scaled_ratios(system: TridiagonalSystem, y: np.ndarray) -> np.ndarray:
     neither sum can overflow, and the ratio does not depend on the scale.
     """
     lower, upper = system.lower.copy(), system.upper.copy()
-    lower[..., 0] = upper[..., -1] = 0.0  # they take no part
+    lower[0] = upper[-1] = 0.0  # they take no part
     before, after = np.zeros_like(y), np.zeros_like(y)
-    before[..., 1:] = y[..., :-1]
-    after[..., :-1] = y[..., 1:]
+    before[1:] = y[:-1]
+    after[:-1] = y[1:]
     mantissas, exponents = [], []
     for coefficient, value in ((lower, before), (system.diag, y), (upper, after),
                                (-system.rhs, 1.0)):
@@ -88,43 +87,38 @@ def _scaled_ratios(system: TridiagonalSystem, y: np.ndarray) -> np.ndarray:
     return np.abs(sum(terms)) / np.where(magnitude > 0.0, magnitude, 1.0)
 
 
-def _rowwise_residual(system: TridiagonalSystem, y: np.ndarray):
+def _rowwise_residual(system: TridiagonalSystem, y: np.ndarray) -> float:
     """Componentwise backward error max_i |A y - rhs|_i / (|A||y| + |rhs|)_i.
 
-    One maximum per system: a float for a single system, an array of k for
-    a batch.  ``lower[..., 0]`` and ``upper[..., -1]`` take no part.  Rows
-    whose plain sums overflow are summed again by ``_scaled_ratios``.
+    ``lower[0]`` and ``upper[-1]`` take no part.  Rows whose plain sums
+    overflow are summed again by ``_scaled_ratios``.
     """
     lower, diag, upper, rhs = system.lower, system.diag, system.upper, system.rhs
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = apply_operator(system, y) - rhs
         denom = np.abs(diag * y) + np.abs(rhs)
-        denom[..., 1:] += np.abs(lower[..., 1:] * y[..., :-1])
-        denom[..., :-1] += np.abs(upper[..., :-1] * y[..., 1:])
+        denom[1:] += np.abs(lower[1:] * y[:-1])
+        denom[:-1] += np.abs(upper[:-1] * y[1:])
         ratios = np.where(denom > 0.0, np.abs(r) / denom, np.where(r == 0.0, 0.0, np.inf))
         overflowed = np.isinf(denom)
         if overflowed.any():
             ratios = np.where(overflowed, _scaled_ratios(system, y), ratios)
-    return ratios.max(axis=-1)
+    return float(ratios.max())
 
 
-def _note_pivots(failures: list, pivots: np.ndarray, first: int, step: int) -> None:
-    """Record the first zero or subnormal pivot of each system not yet failed.
+def _check_pivots(pivots: np.ndarray, first: int, step: int) -> None:
+    """Raise ``PivotError`` at the first zero or subnormal pivot.
 
-    ``pivots[..., j]`` belongs to row ``first + j * step`` of its system.
+    ``pivots[j]`` belongs to row ``first + j * step`` of the system.
     """
-    magnitudes = np.abs(pivots)
-    if magnitudes.min() >= _PIVOT_FLOOR:
-        return
-    small = np.atleast_2d(magnitudes < _PIVOT_FLOOR)
-    for i in np.flatnonzero(small.any(axis=1)):
-        if failures[i] is None:
-            j = int(np.argmax(small[i]))
-            failures[i] = PivotError(first + j * step, float(np.atleast_2d(pivots)[i, j]))
+    small = np.abs(pivots) < _PIVOT_FLOOR
+    if small.any():
+        j = int(np.argmax(small))
+        raise PivotError(first + j * step, float(pivots[j]))
 
 
-def _cyclic_reduction(lower, diag, upper, rhs) -> tuple[np.ndarray, list]:
-    """Solve one system or a batch: y, and a PivotError or None per system.
+def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve one system; raise ``PivotError`` at the first pivot breakdown.
 
     Each level divides its odd rows by their pivots, the diagonal, and
     subtracts from every even row its couplings times the neighbouring
@@ -137,91 +131,69 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> tuple[np.ndarray, list]:
     then recovers each level's odd rows from their even neighbours, with
     the divided couplings: a row-dominant row never multiplies a value by
     more than one, so boundary values near the float limit do not
-    overflow.  A system with a zero or subnormal pivot is computed on, into
-    NaN or inf, without touching the others.  The last axis is the row
-    axis throughout, so one system and a batch run the same numpy calls.
+    overflow.  Pivots are checked level by level, so the error names the
+    first zero or subnormal pivot of the elimination.
     """
-    failures = [None] * math.prod(diag.shape[:-1])
     sides = np.stack((rhs, diag))  # the second becomes the row sums
-    sides[1, ..., 1:] += lower[..., 1:]
-    sides[1, ..., :-1] += upper[..., :-1]
+    sides[1, 1:] += lower[1:]
+    sides[1, :-1] += upper[:-1]
     levels, stride = [], 1
-    while diag.shape[-1] > 1:
-        pivots = diag[..., 1::2]
-        _note_pivots(failures, pivots, stride, 2 * stride)
-        odd = pivots.shape[-1]
-        even = diag.shape[-1] - odd
+    while diag.size > 1:
+        pivots = diag[1::2]
+        _check_pivots(pivots, stride, 2 * stride)
+        odd = pivots.size
+        even = diag.size - odd
         # the odd rows' couplings over minus the pivot (>= 0 on an M-matrix)
         negated = -pivots
-        odd_lower = lower[..., 1::2] / negated
-        odd_upper = upper[..., 1::2] / negated
-        odd_sides = sides[..., 1::2] / pivots
+        odd_lower = lower[1::2] / negated
+        odd_upper = upper[1::2] / negated
+        odd_sides = sides[:, 1::2] / pivots
         levels.append((odd_lower, odd_upper, odd_sides[0]))
         # even row j couples to odd row j - 1 through lower, to odd row j through upper
-        even_lower = lower[..., 2::2]
-        even_upper = upper[..., 0 : 2 * odd : 2]
-        shape = diag.shape[:-1] + (even,)
-        lower = np.empty(shape)
-        lower[..., 0] = 0.0
-        np.multiply(even_lower, odd_lower[..., : even - 1], out=lower[..., 1:])
-        upper = np.empty(shape)
-        upper[..., even - 1] = 0.0  # with as many odd rows, the last couples to nothing
-        np.multiply(even_upper[..., : even - 1], odd_upper[..., : even - 1],
-                    out=upper[..., : even - 1])
-        new_sides = sides[..., 0::2].copy()
-        new_sides[..., 1:] -= even_lower * odd_sides[..., : even - 1]
-        new_sides[..., :odd] -= even_upper * odd_sides
+        even_lower = lower[2::2]
+        even_upper = upper[0 : 2 * odd : 2]
+        lower = np.empty(even)
+        lower[0] = 0.0
+        np.multiply(even_lower, odd_lower[: even - 1], out=lower[1:])
+        upper = np.empty(even)
+        upper[even - 1] = 0.0  # with as many odd rows, the last couples to nothing
+        np.multiply(even_upper[: even - 1], odd_upper[: even - 1], out=upper[: even - 1])
+        new_sides = sides[:, 0::2].copy()
+        new_sides[:, 1:] -= even_lower * odd_sides[:, : even - 1]
+        new_sides[:, :odd] -= even_upper * odd_sides
         sides = new_sides
         diag = sides[1] - lower
         diag -= upper
         stride *= 2
-    _note_pivots(failures, diag, 0, 0)
+    _check_pivots(diag, 0, 0)
     y = sides[0] / diag
     for odd_lower, odd_upper, odd_rhs in reversed(levels):
-        odd, even = odd_rhs.shape[-1], y.shape[-1]
-        values = odd_lower * y[..., :odd]
+        odd, even = odd_rhs.size, y.size
+        values = odd_lower * y[:odd]
         values += odd_rhs
-        values[..., : even - 1] += odd_upper[..., : even - 1] * y[..., 1:]
-        full = np.empty(y.shape[:-1] + (even + odd,))
-        full[..., 0::2] = y
-        full[..., 1::2] = values
+        values[: even - 1] += odd_upper[: even - 1] * y[1:]
+        full = np.empty(even + odd)
+        full[0::2] = y
+        full[1::2] = values
         y = full
-    return y, failures
+    return y
 
 
-def _solution(y: np.ndarray, residual: float) -> Solution | ValueError:
-    try:
-        return Solution(y, residual)
-    except ValueError as err:
-        return err
-
-
-def solve_thomas(system: TridiagonalSystem) -> Solution | list[Solution | Exception]:
+def solve_thomas(system: TridiagonalSystem) -> Solution:
     """Solve without pivoting in O(n) time and space, with its residual.
 
     Odd-even cyclic reduction (``_cyclic_reduction``) eliminates the odd
     rows one vectorised level at a time and back substitution recovers
-    them; the name is kept from the Thomas loop it replaced.  A single
-    system, (n + 1,) arrays, gives a :class:`Solution` and raises
-    ``PivotError`` naming the row of a zero or subnormal pivot, or
-    ``ValueError`` when the residual is not finite.  A batch, (k, n + 1)
-    arrays, gives a list of k entries in order, each the system's
-    ``Solution`` or the exception its single solve would raise; the systems
-    run through the same numpy calls, so each entry is bitwise what the
-    single solve gives.
+    them; the name is kept from the Thomas loop it replaced.  Raises
+    ``PivotError`` naming the row of the first zero or subnormal pivot, or
+    ``ValueError`` naming the first non-finite value when the residual is
+    not finite.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y, failures = _cyclic_reduction(system.lower, system.diag, system.upper, system.rhs)
-    residuals = _rowwise_residual(system, y)
-    y.setflags(write=False)  # each Solution takes its row without a copy
-    if system.diag.ndim == 1:
-        if failures[0] is not None:
-            raise failures[0]
-        return Solution(y, float(residuals))
-    return [
-        failure or _solution(values, float(residual))
-        for values, residual, failure in zip(y, residuals, failures)
-    ]
+        y = _cyclic_reduction(system.lower, system.diag, system.upper, system.rhs)
+    residual = _rowwise_residual(system, y)
+    y.setflags(write=False)  # the Solution takes it without a copy
+    return Solution(y, residual)
 
 
 def solve_dense_oracle(system: TridiagonalSystem) -> Solution:

@@ -7,6 +7,11 @@ left of the interface use the backward difference for the convection term
 and rows right of it the forward difference, matching the sign of ``a`` on
 each side.  The interface row enforces equality of the one-sided first
 differences at ``d`` and replaces the differential equation there.
+
+The first and last rows are the boundary conditions, identity rows with no
+couplings, so systems on several meshes laid end to end are one
+tridiagonal system whose blocks do not interact: a sweep row's systems are
+assembled and solved that way, as one chain.
 """
 
 from __future__ import annotations
@@ -46,11 +51,7 @@ def frozen_array(value) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalSystem:
-    """Three diagonals plus right-hand side; lower[0] and upper[n] are 0.
-
-    The arrays are (n + 1,) for one system, or (k, n + 1) for a batch of k
-    systems of the same size, one per row.
-    """
+    """Three diagonals plus right-hand side, each of length n + 1; lower[0] and upper[n] are 0."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -59,13 +60,10 @@ class TridiagonalSystem:
     n: int
 
     def __post_init__(self):
-        shape = np.shape(self.diag)
-        if len(shape) not in (1, 2) or shape[-1] != self.n + 1:
-            raise ValueError(f"diag must have length n + 1 = {self.n + 1}, or k rows of it")
         for name in ("lower", "diag", "upper", "rhs"):
             array = frozen_array(getattr(self, name))
-            if array.shape != shape:
-                raise ValueError(f"{name} must have the shape of diag, {shape}")
+            if array.shape != (self.n + 1,):
+                raise ValueError(f"{name} must be a vector of length n + 1 = {self.n + 1}")
             object.__setattr__(self, name, array)
 
 
@@ -79,89 +77,100 @@ class MMatrixReport:
     worst_margin: float  # rowwise-relative dominance margin at worst_row
 
 
-def assemble(
-    spec: ProblemSpec | Sequence[ProblemSpec], mesh: Mesh | Sequence[Mesh]
-) -> TridiagonalSystem:
+def assemble(spec: ProblemSpec, mesh: Mesh | Sequence[Mesh]) -> TridiagonalSystem:
     """Assemble the discrete system on ``mesh``.
 
     The mesh must pin ``spec.d`` exactly at index n/2.  Coefficients are
     evaluated one-sidedly: rows left of the interface use (a_left, f_left),
     rows right of it (a_right, f_right); the interface row uses neither.
 
-    ``spec`` and ``mesh`` may also be equally long sequences of problems
-    that differ only in epsilon, mu, y0 and y1, and of meshes with one n:
-    the systems are then assembled together, as a (k, n + 1) batch whose
-    row i is bitwise the system of ``spec[i]`` on ``mesh[i]``.
+    ``mesh`` may also be a sequence of meshes: their systems are then laid
+    end to end, in order, as one chain whose block on each mesh is bitwise
+    that mesh's own system.  The blocks' boundary rows have no couplings,
+    so a solve of the chain is a solve of each block.
     """
-    if not isinstance(mesh, Mesh):
-        return _assemble(list(spec), list(mesh))
-    batch = _assemble([spec], [mesh])
-    return TridiagonalSystem(batch.lower[0], batch.diag[0], batch.upper[0], batch.rhs[0], mesh.n)
+    meshes = [mesh] if isinstance(mesh, Mesh) else list(mesh)
+    for each in meshes:
+        m = each.n // 2
+        if each.points[m] != spec.d:
+            raise ValueError(
+                f"mesh interface node x_{m} = {float(each.points[m])!r} does not match "
+                f"problem discontinuity d = {spec.d!r}"
+            )
+    return _assemble(spec, meshes)
+
+
+def _side_rows(meshes: list[Mesh], starts, left: bool) -> tuple:
+    """Each block's interior rows on one side of d: where x_i, h_i and h_{i+1} are.
+
+    Slices for one mesh, so that the side's arrays are views; for a chain,
+    masks over its rows and over its steps.
+    """
+    spans = [(start + 1, start + mesh.n // 2) if left else (start + mesh.n // 2 + 1, start + mesh.n)
+             for mesh, start in zip(meshes, starts)]
+    if len(spans) == 1:
+        (lo, hi), = spans
+        return slice(lo, hi), slice(lo - 1, hi - 1), slice(lo, hi)
+    rows = np.zeros(starts[-1] + meshes[-1].n + 1, dtype=bool)
+    for lo, hi in spans:
+        rows[lo:hi] = True
+    return rows, rows[1:], rows[:-1]
 
 
 # entries that leave the float range are named by _check_finite, not warned about
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _assemble(specs: list[ProblemSpec], meshes: list[Mesh]) -> TridiagonalSystem:
-    if not meshes or len(specs) != len(meshes) or any(mesh.n != meshes[0].n for mesh in meshes):
-        raise ValueError("a batch needs one problem per mesh, at least one, and meshes of one n")
-    first, n = specs[0], meshes[0].n
-    if any(_data(spec) != _data(first) for spec in specs):
-        raise ValueError("a batch must share the coefficients and d")
-    m = n // 2
-    x = np.stack([mesh.points for mesh in meshes])
-    if np.any(x[:, m] != first.d):
-        bad = x[np.argmax(x[:, m] != first.d), m]
-        raise ValueError(
-            f"mesh interface node x_{m} = {bad!r} does not match "
-            f"problem discontinuity d = {first.d!r}"
-        )
-    h = np.diff(x)  # h[:, k] = x_{k+1} - x_k
-    eps = np.array([[spec.epsilon] for spec in specs])
-    mu = np.array([[spec.mu] for spec in specs])
+def _assemble(spec: ProblemSpec, meshes: list[Mesh]) -> TridiagonalSystem:
+    sizes = [mesh.n + 1 for mesh in meshes]
+    starts = np.cumsum([0] + sizes[:-1])
+    x = meshes[0].points if len(meshes) == 1 else np.concatenate([m.points for m in meshes])
+    h = np.diff(x)  # h[k] = x_{k+1} - x_k; only steps within a block are used
+    eps, mu = spec.epsilon, spec.mu
 
-    k = len(specs)
-    lower = np.zeros((k, n + 1))
-    diag = np.zeros((k, n + 1))
-    upper = np.zeros((k, n + 1))
-    rhs = np.zeros((k, n + 1))
+    lower, diag, upper, rhs = np.empty((4, sum(sizes)))  # every row is written below
 
-    def interior(rows: slice, a, f, forward: bool) -> None:
+    def interior(a, f, forward: bool) -> None:
         # one side's rows, in a call of its own so that its temporaries are
         # freed before the other side's are made
-        xs = x[:, rows]
-        hi, hip = h[:, rows.start - 1 : rows.stop - 1], h[:, rows]  # h_i and h_{i+1}
-        hbar = 0.5 * (hi + hip)
-        p, q = eps / (hi * hbar), eps / (hip * hbar)  # diffusion towards x_{i-1}, x_{i+1}
+        rows, before, after = _side_rows(meshes, starts, left=not forward)
+        xs = x[rows]
+        hi, hip = h[before], h[after]  # h_i and h_{i+1}
+        hbar = hi + hip
+        hbar *= 0.5
+        p = hi * hbar
+        q = np.multiply(hip, hbar, out=hbar)
+        np.divide(eps, p, out=p)  # diffusion towards x_{i-1}
+        np.divide(eps, q, out=q)  # and towards x_{i+1}
         if forward:  # right of d: convection by the forward difference
             c = mu * evaluate_array(a, xs) / hip
-            np.negative(p, out=lower[:, rows])
-            diag[:, rows] = p + q + c + evaluate_array(first.b, xs)
-            np.negative(q + c, out=upper[:, rows])
+            lower[rows] = -p
+            diag[rows] = p + q + c + evaluate_array(spec.b, xs)
+            upper[rows] = -(q + c)
         else:  # left of d: by the backward difference
             c = mu * evaluate_array(a, xs) / hi
-            np.subtract(c, p, out=lower[:, rows])
-            diag[:, rows] = p + q - c + evaluate_array(first.b, xs)
-            np.negative(q, out=upper[:, rows])
-        np.negative(evaluate_array(f, xs), out=rhs[:, rows])
+            lower[rows] = c - p
+            diag[rows] = p + q - c + evaluate_array(spec.b, xs)
+            upper[rows] = -q
+        rhs[rows] = -evaluate_array(f, xs)
 
-    interior(slice(1, m), first.a_left, first.f_left, forward=False)
-    interior(slice(m + 1, n), first.a_right, first.f_right, forward=True)
+    interior(spec.a_left, spec.f_left, forward=False)
+    interior(spec.a_right, spec.f_right, forward=True)
 
     # interface: backward difference equals forward difference at d
-    lower[:, m] = -1.0 / h[:, m - 1]
-    diag[:, m] = 1.0 / h[:, m - 1] + 1.0 / h[:, m]
-    upper[:, m] = -1.0 / h[:, m]
-    rhs[:, m] = 0.0
+    m = starts + [mesh.n // 2 for mesh in meshes]
+    lower[m] = -1.0 / h[m - 1]
+    diag[m] = 1.0 / h[m - 1] + 1.0 / h[m]
+    upper[m] = -1.0 / h[m]
 
-    diag[:, 0] = 1.0
-    rhs[:, 0] = [spec.y0 for spec in specs]
-    diag[:, n] = 1.0
-    rhs[:, n] = [spec.y1 for spec in specs]
+    ends = starts + sizes - 1
+    lower[starts] = upper[starts] = lower[ends] = upper[ends] = rhs[m] = 0.0
+    diag[starts] = diag[ends] = 1.0
+    rhs[starts] = spec.y0
+    rhs[ends] = spec.y1
 
     _check_finite(lower=lower, diag=diag, upper=upper)  # rhs holds f (checked) and y0, y1
     for array in (lower, diag, upper, rhs):
         array.setflags(write=False)  # the system takes them without a copy
-    return TridiagonalSystem(lower, diag, upper, rhs, n)
+    return TridiagonalSystem(lower, diag, upper, rhs, sum(sizes) - 1)
 
 
 def _check_finite(**arrays: np.ndarray) -> None:
@@ -175,34 +184,25 @@ def _check_finite(**arrays: np.ndarray) -> None:
         return  # a sum with a non-finite term is not finite; one that overflows is scanned
     first = None
     for name, array in arrays.items():
-        rows = np.flatnonzero(~np.isfinite(array).all(axis=0))  # over a batch's systems
+        rows = np.flatnonzero(~np.isfinite(array))
         if rows.size and (first is None or rows[0] < first[0]):
-            first = (rows[0], name, array[:, rows[0]])
+            first = (rows[0], name, float(array[rows[0]]))
     if first is not None:
-        row, name, column = first
-        value = float(column[~np.isfinite(column)][0])
+        row, name, value = first
         raise ValueError(
             f"assembled {name}[{row}] = {value!r} is the first non-finite entry: "
             "products and quotients of the mesh steps leave the float range there"
         )
 
 
-def _data(spec: ProblemSpec) -> tuple:
-    """What a batch shares: the coefficients and the interface point."""
-    return (spec.a_left, spec.a_right, spec.b, spec.f_left, spec.f_right, spec.d)
-
-
 def apply_operator(system: TridiagonalSystem, y) -> np.ndarray:
-    """Tridiagonal matrix-vector product, for residual checks.
-
-    A batch takes one vector per system, as a (k, n + 1) array.
-    """
+    """Tridiagonal matrix-vector product, for residual checks."""
     y = np.asarray(y, dtype=float)
     if y.shape != system.diag.shape:
-        raise ValueError(f"vector must have length n + 1 = {system.n + 1}, one per system")
+        raise ValueError(f"vector must have length n + 1 = {system.n + 1}")
     out = system.diag * y
-    out[..., 1:] += system.lower[..., 1:] * y[..., :-1]
-    out[..., :-1] += system.upper[..., :-1] * y[..., 1:]
+    out[1:] += system.lower[1:] * y[:-1]
+    out[:-1] += system.upper[:-1] * y[1:]
     return out
 
 

@@ -19,7 +19,9 @@ _TICKS = 5
 def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    return [lo + (hi - lo) * k / (_TICKS - 1) for k in range(_TICKS)]
+    # k / (_TICKS - 1) is exact, so this rounds as (hi - lo) * k / (_TICKS - 1)
+    # and cannot overflow where hi - lo does not
+    return [lo + (hi - lo) * (k / (_TICKS - 1)) for k in range(_TICKS)]
 
 
 def _fmt(value: float) -> str:
@@ -43,18 +45,20 @@ def polyline_plot(
         raise ValueError("plot needs two sequences of equal length >= 2")
     if not all(math.isfinite(v) for v in list(xs) + list(ys)):
         raise ValueError("plot data must be finite")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    # the axes work on halved values: halving is exact, so the plot is the
+    # same, and the span of two finite halves cannot overflow
+    x_lo, x_hi = min(xs) / 2, max(xs) / 2
+    y_lo, y_hi = min(ys) / 2, max(ys) / 2
     if y_hi == y_lo:  # flat series still needs a visible axis span
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = y_lo - 0.25, y_hi + 0.25
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def px(half: float) -> float:
+        return _MARGIN_LEFT + (half - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
-        return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+    def py(half: float) -> float:
+        return _MARGIN_TOP + (y_hi - half) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -80,14 +84,14 @@ def polyline_plot(
         parts.append(f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{x:.2f}" y="{axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
+            f'font-family="sans-serif" font-size="11">{_fmt(2 * tick)}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
         y = py(tick)
         parts.append(f'<line x1="{_MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{_MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>')
         parts.append(
             f'<text x="{_MARGIN_LEFT - 9}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
+            f'font-family="sans-serif" font-size="11">{_fmt(2 * tick)}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
@@ -98,10 +102,11 @@ def polyline_plot(
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    coords = " ".join(f"{px(x / 2):.2f},{py(y / 2):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f5fae" stroke-width="1.5"/>')
     if markers:
         for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2" fill="#1f5fae"/>')
+            cx, cy = px(x / 2), py(y / 2)
+            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="#1f5fae"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,8 +1,10 @@
 """End-to-end command-line tests: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -407,7 +409,12 @@ def test_failed_sweep_cells_named_on_stderr(tmp_path):
     assert done.returncode == 0
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "param,N,E,R"
-    assert lines[1] == "1e-16,64,0.16214710118202014,0.623467209652506"
+    # the row's systems are solved as one chain, which rounds a little
+    # differently from single solves: E within 1e-13, R within 1e-11
+    param, n, error, order = lines[1].split(",")
+    assert (param, n) == ("1e-16", "64")
+    assert abs(float(error) - 0.16214710118202014) <= 1e-13
+    assert abs(float(order) - 0.623467209652506) <= 1e-11
     assert len(lines) == 1 + 9 * 3
     for line in lines[1:]:
         param, n, error, order = line.split(",")
@@ -473,6 +480,39 @@ def test_solve_with_boundary_values_near_the_float_limit(tmp_path, capsys):
     rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
     y = [float(row.split(",")[2]) for row in rows]
     assert y[0] == 1e308 and y[-1] == -1e308 and all(math.isfinite(v) for v in y)
+
+
+def _svg_numbers(svg, *names):
+    return [float(v) for name in names for v in re.findall(rf'\b{name}="([^"]*)"', svg)]
+
+
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
+def test_plot_at_the_float_limits_stays_in_the_view_box(tmp_path):
+    # y spans 2e308, more than the float range; every coordinate and tick
+    # label must still be finite, and every point inside the picture
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_EX1_DOC, "y0": 1e308, "y1": -1e308}))
+    argv = ["solve", "--problem", str(path), "--epsilon", "1e-2", "--mu", "1e-2", "--n", "64",
+            "--plot", "--markers"]
+    assert run(argv, tmp_path) == 0
+    svg = (tmp_path / "solution.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg
+    points = [float(v) for pair in re.search(r'points="([^"]*)"', svg)[1].split()
+              for v in pair.split(",")]
+    xs = points[0::2] + _svg_numbers(svg, "x", "x1", "x2", "cx")
+    ys = points[1::2] + _svg_numbers(svg, "y", "y1", "y2", "cy")
+    assert all(0.0 <= x <= 760.0 for x in xs) and all(0.0 <= y <= 480.0 for y in ys)
+    labels = re.findall(r'font-size="11">([^<]*)</text>', svg)
+    assert labels[-5:] == ["-1.00e+308", "-5.00e+307", "0", "5.00e+307", "1.00e+308"]
+
+
+def test_readme_plot_is_unchanged(tmp_path):
+    # the SVG of README's solve --plot, pinned by its digest
+    argv = ["solve", "--problem", "ex1", "--epsilon", "1e-8", "--mu", "1e-6", "--n", "256",
+            "--plot"]
+    assert run(argv, tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "solution.svg").read_bytes()).hexdigest()
+    assert digest == "7c97dba558b338007465a035085c07fd052fd606dfe63844053f251b35c5dd60"
 
 
 def test_importing_the_cli_does_not_load_scipy():

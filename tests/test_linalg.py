@@ -1,4 +1,4 @@
-"""Cyclic reduction, single and batched, against the LAPACK oracle, an
+"""Cyclic reduction, single and chained, against the LAPACK oracle, an
 elimination reference in float64 and in extended precision, residuals and
 pivot failures."""
 
@@ -141,47 +141,51 @@ def test_zero_pivot_names_row():
     assert err.value.row == 2
 
 
-def _batch(systems):
-    n = systems[0].n
-    return TridiagonalSystem(*(np.stack([getattr(s, name) for s in systems])
-                               for name in ("lower", "diag", "upper", "rhs")), n)
+def _chain(systems):
+    """The systems laid end to end, and the first row of each."""
+    starts = np.cumsum([0] + [s.n + 1 for s in systems[:-1]])
+    chain = TridiagonalSystem(*(np.concatenate([getattr(s, name) for s in systems])
+                                for name in ("lower", "diag", "upper", "rhs")),
+                              sum(s.n + 1 for s in systems) - 1)
+    return chain, starts
 
 
-def _assert_batch_is_single_solves(systems):
-    results = solve_thomas(_batch(systems))
-    assert len(results) == len(systems)
-    for system, result in zip(systems, results):
-        single = solve_thomas(system)
-        assert result.y.tobytes() == single.y.tobytes()
-        assert result.residual_inf == single.residual_inf
+def _assert_chain_is_single_solves(systems):
+    chain, starts = _chain(systems)
+    y = solve_thomas(chain).y
+    for system, start in zip(systems, starts):
+        single = solve_thomas(system).y
+        block = y[start : start + system.n + 1]
+        assert np.max(np.abs(block - single)) <= 1e-14 * np.max(np.abs(single))
 
 
-# the blocked loop is a sweep column's walk over batches of systems, at most
-# analysis._BATCH_ROWS rows each: every batch must solve bitwise as its
-# systems do one at a time
+# a sweep row's systems are laid end to end and solved as one chain of at
+# most analysis._CHAIN_ROWS rows: each block must solve as its system does
+# alone, up to rounding, since the blocks do not couple
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 12293])
 def test_blocked_loop_is_bitwise_equal_on_random_systems(n):
     rng = np.random.default_rng(n)
-    _assert_batch_is_single_solves([_random_dominant_system(rng, n) for _ in range(3)])
+    _assert_chain_is_single_solves([_random_dominant_system(rng, n + k) for k in range(3)])
 
 
 @pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 @pytest.mark.parametrize("mu", [1e-4, 1e-17])
 def test_blocked_loop_is_bitwise_equal_on_assembled_systems(example, mu):
-    # rows differ in epsilon and mu, so in their meshes and coefficients
-    specs = [builtin_example(example, epsilon=eps, mu=mu * scale)
-             for eps, scale in ((1e-8, 1.0), (1e-6, 10.0), (1e-10, 0.1))]
-    for n in (64, 504, 4096):
-        meshes = [shishkin_bakhvalov_mesh(derive_regime(s, samples=200), n, s.d) for s in specs]
-        batch = assemble(specs, meshes)
-        singles = [assemble(s, mesh) for s, mesh in zip(specs, meshes)]
+    # the chain's blocks are bitwise the single assemblies; each chain mixes
+    # sizes, and the three chains differ in epsilon and mu
+    for eps, scale in ((1e-8, 1.0), (1e-6, 10.0), (1e-10, 0.1)):
+        spec = builtin_example(example, epsilon=eps, mu=mu * scale)
+        regime = derive_regime(spec, samples=200)
+        meshes = [shishkin_bakhvalov_mesh(regime, n, spec.d) for n in (64, 504, 4096)]
+        singles = [assemble(spec, mesh) for mesh in meshes]
+        chain = assemble(spec, meshes)
         for name in ("lower", "diag", "upper", "rhs"):
-            stacked = np.stack([getattr(single, name) for single in singles])
-            assert getattr(batch, name).tobytes() == stacked.tobytes()
-        _assert_batch_is_single_solves(singles)
+            laid = np.concatenate([getattr(single, name) for single in singles])
+            assert getattr(chain, name).tobytes() == laid.tobytes()
+        _assert_chain_is_single_solves(singles)
 
 
 def _coupled_system(n):
@@ -201,20 +205,19 @@ def _pivot_error(solve, system):
 @pytest.mark.parametrize("row", [4097, 4098])
 def test_zero_pivot_in_one_system_of_a_batch(row):
     # the middle system has a zero pivot at level 1 (odd row) or, cancelling
-    # exactly, at level 2 (even row); its neighbours solve as they do alone
+    # exactly, at level 2 (even row); in the chain the error names the chain
+    # row, the block's first row plus the row within the system, and the
+    # system alone names its own row
     n = 2 * 4096 + 3
     systems = [TridiagonalSystem(*_coupled_system(n), n) for _ in range(3)]
     lower, diag, upper, rhs = _coupled_system(n)
     diag[:] = 2.0
     diag[row] = 1.0 if row % 2 == 0 else 0.0
     systems[1] = TridiagonalSystem(lower, diag, upper, rhs, n)
-    single = _pivot_error(solve_thomas, systems[1])
-    results = solve_thomas(_batch(systems))
-    assert isinstance(results[1], PivotError)
-    assert (results[1].row, results[1].value) == single == (row, 0.0)
-    assert str(results[1]) == str(PivotError(row, 0.0))
-    for k in (0, 2):
-        assert results[k].y.tobytes() == solve_thomas(systems[k]).y.tobytes()
+    assert _pivot_error(solve_thomas, systems[1]) == (row, 0.0)
+    chain, starts = _chain(systems)
+    assert starts[1] == n + 1  # even, so the row keeps its parity and level
+    assert _pivot_error(solve_thomas, chain) == (starts[1] + row, 0.0)
 
 
 @pytest.mark.parametrize("n, row, stage", [(1000, 602, "reduction"), (512, 0, "last")])
@@ -233,6 +236,12 @@ def test_zero_reduced_pivot_names_system_row(n, row, stage):
         diag[row] = 0.0
     system = TridiagonalSystem(lower, diag, upper, rhs, n)
     assert _pivot_error(solve_thomas, system) == (row, 0.0)
+
+
+def test_system_is_one_dimensional():
+    lower, diag, upper, rhs = _coupled_system(8)
+    with pytest.raises(ValueError, match="vector of length n \\+ 1"):
+        TridiagonalSystem(*(np.stack([v, v]) for v in (lower, diag, upper, rhs)), 8)
 
 
 def _longdouble_thomas(system):

@@ -7,6 +7,7 @@ import pytest
 
 from splayer import (
     EvaluationError,
+    MeshFamily,
     TridiagonalSystem,
     apply_operator,
     assemble,
@@ -14,7 +15,9 @@ from splayer import (
     check_m_matrix,
     derive_regime,
     evaluate_array,
+    build_mesh,
     parse,
+    refine_double,
     shishkin_bakhvalov_mesh,
     solve_thomas,
     uniform_mesh,
@@ -185,3 +188,42 @@ def test_finite_system_whose_sums_overflow_assembles():
     system = assemble(spec, uniform_mesh(64, spec.d))
     assert system.rhs[0] == system.rhs[-1] == 1e308
     assert np.isfinite(system.rhs).all()
+
+
+def test_chain_of_one_mesh_is_the_single_system():
+    _, mesh, system = _system(example="ex2", epsilon=1e-8, mu=1e-6)
+    spec = builtin_example("ex2", epsilon=1e-8, mu=1e-6)
+    chain = assemble(spec, [mesh])
+    assert chain.n == system.n
+    for name in ("lower", "diag", "upper", "rhs"):
+        assert getattr(chain, name).tobytes() == getattr(system, name).tobytes()
+
+
+def test_chain_blocks_are_single_systems_without_couplings_between_them():
+    # families, sizes and bisected meshes mixed in one chain
+    spec = builtin_example("ex2", epsilon=1e-8, mu=1e-6)
+    regime = derive_regime(spec, samples=400)
+    meshes = []
+    for family, n in zip(MeshFamily, (16, 64, 40)):
+        mesh = build_mesh(family, regime, n, spec.d)
+        meshes += [mesh, refine_double(mesh)]
+    chain = assemble(spec, meshes)
+    assert chain.n + 1 == sum(mesh.n + 1 for mesh in meshes)
+    first = 0
+    for mesh in meshes:
+        last = first + mesh.n
+        single = assemble(spec, mesh)
+        for name in ("lower", "diag", "upper", "rhs"):
+            block = getattr(chain, name)[first : last + 1]
+            assert block.tobytes() == getattr(single, name).tobytes()
+        for row in (first, last):
+            assert chain.lower[row] == chain.upper[row] == 0.0
+            assert chain.diag[row] == 1.0
+        first = last + 1
+
+
+def test_chain_interface_mismatch_names_the_mesh_node():
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-6)
+    meshes = [uniform_mesh(16, spec.d), uniform_mesh(32, 0.25)]
+    with pytest.raises(ValueError, match=r"mesh interface node x_16 = 0\.25 does not match"):
+        assemble(spec, meshes)
