@@ -12,7 +12,8 @@ table, by ``problem.with_constants``: the problem spec then carries them,
 and so does every row spec made from it by ``dataclasses.replace``.
 
 A sweep table is computed row by row: each distinct mesh of a row is
-built once, and the row's systems are laid end to end and solved as one
+built once, or once for rows with the same widths and epsilon (a mu sweep
+in Case 1), and the row's systems are laid end to end and solved as one
 chain, at most ``_CHAIN_ROWS`` rows at a time (see ``scheme.assemble``).
 """
 
@@ -29,7 +30,7 @@ from .expressions import BinOp, Expression, Num, evaluate_array
 from .linalg import Solution, solve_thomas
 from .mesh import Mesh, MeshFamily, build_mesh, refine_double
 from .problem import ProblemSpec, RegimeData, derive_regime, with_constants
-from .scheme import assemble
+from .scheme import _Chain, assemble
 
 __all__ = [
     "DOUBLE_MESH_MODES",
@@ -51,9 +52,9 @@ DOUBLE_MESH_MODES = ("bisect", "regenerate")
 # EvaluationError and LinAlgError are ValueErrors, PivotError an ArithmeticError
 _CELL_ERRORS = (ValueError, ArithmeticError)
 
-# most rows one chained assembly and solve takes; a larger system runs
-# alone.  A sweep row of ex2 (N = 64..4096, bisect) is 24 398 rows, one
-# chain; without a cap a row with N up to 2^18 nearly doubled the peak memory
+# most rows one chained assembly and solve takes, and so the most a kept stencil
+# holds; a larger system runs alone.  A sweep row of ex2 (N = 64..4096, bisect) is
+# 24 398 rows, one chain; without a cap a row with N up to 2^18 nearly doubled the peak memory
 _CHAIN_ROWS = 1 << 16
 
 
@@ -150,32 +151,28 @@ def _solve_run(spec: ProblemSpec, meshes: list[Mesh]) -> list:
     return np.split(y, np.cumsum([mesh.n + 1 for mesh in meshes[:-1]]))
 
 
-def _runs(meshes: list[Mesh]) -> list[list[Mesh]]:
-    """Consecutive meshes, in order, in runs of at most ``_CHAIN_ROWS`` rows."""
+def _runs(keys: list, meshes: dict) -> list[list]:
+    """Consecutive keys of ``meshes``, in order, in runs of at most ``_CHAIN_ROWS`` rows."""
     runs = []
-    for mesh in meshes:
-        if runs and sum(m.n + 1 for m in runs[-1]) + mesh.n + 1 <= _CHAIN_ROWS:
-            runs[-1].append(mesh)
+    for key in keys:
+        if runs and sum(meshes[k].n + 1 for k in runs[-1]) + meshes[key].n + 1 <= _CHAIN_ROWS:
+            runs[-1].append(key)
         else:  # a new run, which a mesh above the cap fills alone
-            runs.append([mesh])
+            runs.append([key])
     return runs
 
 
-def _row_errors(
-    spec: ProblemSpec, regime: RegimeData, family: MeshFamily, n_values: tuple[int, ...], mode: str
-) -> tuple[np.ndarray, dict]:
-    """Double-mesh errors of one sweep row, and the exception of each failed cell.
+def _row_meshes(
+    spec: ProblemSpec, regime: RegimeData, family: MeshFamily, cells: list, shared: bool
+) -> tuple:
+    """Each distinct mesh of a row's cells, and the runs their systems are solved in.
 
-    Each distinct mesh of the row is built once: the mesh for each N, and
-    its bisection or, in regenerate mode, the mesh built for 2N, which is
-    also the cell's own mesh where N is that 2N.  Their systems are solved
-    in row order, in chains of consecutive meshes (``_runs``,
-    ``_solve_run``).  A cell fails with the first exception of its mesh,
-    its solve, its fine mesh and its fine solve, in that order, as
-    ``double_mesh_error`` would raise.  Failures map the column to their
-    exception.
+    The meshes are the mesh for each N, and its bisection or, in regenerate
+    mode, the mesh built for 2N, which is also the cell's own mesh where N
+    is that 2N, or the exception building it raised.  When the next row
+    shares them (``shared``) and the row is one run, that run is a
+    ``scheme._Chain``, which keeps its stencil for the next row.
     """
-    cells = [((n, False), (n, True) if mode == "bisect" else (2 * n, False)) for n in n_values]
     meshes = {}  # (n, bisected) -> Mesh, or the exception building it raised
     for key in dict.fromkeys(key for cell in cells for key in cell):
         n, bisected = key
@@ -187,12 +184,28 @@ def _row_errors(
                 meshes[key] = refine_double(coarse) if isinstance(coarse, Mesh) else coarse
         except _CELL_ERRORS as err:
             meshes[key] = err
-    built = [key for key, mesh in meshes.items() if isinstance(mesh, Mesh)]
-    solved = [y for run in _runs([meshes[key] for key in built]) for y in _solve_run(spec, run)]
-    values = dict(zip(built, solved))  # nodal values, or the exception solving raised
+    runs = _runs([key for key, mesh in meshes.items() if isinstance(mesh, Mesh)], meshes)
+    kind = _Chain if shared and len(runs) == 1 else list
+    return meshes, [(run, kind(meshes[key] for key in run)) for run in runs]
+
+
+def _row_errors(spec: ProblemSpec, cells: list, meshes: dict, runs: list, mode: str) -> tuple:
+    """Double-mesh errors of one sweep row, and the exception of each failed cell.
+
+    The systems are solved run by run (``_solve_run``), each cell is computed
+    as soon as its values are, and values no later cell reads are dropped.  A cell
+    fails with the first exception of its mesh, its solve, its fine mesh and
+    its fine solve, as ``double_mesh_error`` would raise.  Failures map the
+    column to their exception.
+    """
+    runs = iter(runs)
+    values = {}  # nodal values, or the exception solving raised
     errors = np.full(len(cells), math.nan)
     failures = {}
     for k, (coarse, fine) in enumerate(cells):
+        while any(isinstance(meshes[key], Mesh) and key not in values for key in (coarse, fine)):
+            keys, run = next(runs)
+            values.update(zip(keys, _solve_run(spec, run)))
         steps = (meshes[coarse], values.get(coarse), meshes[fine], values.get(fine))
         failure = next((step for step in steps if isinstance(step, Exception)), None)
         if failure is not None:
@@ -200,6 +213,8 @@ def _row_errors(
         else:
             errors[k] = _max_difference(meshes[coarse], values[coarse], meshes[fine],
                                         values[fine], mode)
+        later = {key for cell in cells[k + 1:] for key in cell}
+        values = {key: y for key, y in values.items() if key in later}
     return errors, failures
 
 
@@ -238,20 +253,26 @@ def convergence_table(
     The coefficients are sampled once for the table, and not at all when
     ``spec`` already holds the four constants (see
     :func:`~splayer.problem.with_constants`), and the cells are computed
-    row by row, each row's systems in chains (see ``_row_errors``).  Cell
-    failures are recorded as NaN, each named by a :class:`SweepCellWarning`
-    in row-major order, and the sweep continues.  In regenerate mode a
-    cell's fine solve is reused as the coarse solve of the cell whose N is
-    twice that cell's.
+    row by row, each row's systems in chains, rows with the same widths and
+    epsilon on the same meshes (see ``_row_meshes``).  Cell failures are
+    recorded as NaN, each named by a :class:`SweepCellWarning` in row-major
+    order, and the sweep continues.  In regenerate mode a cell's fine solve
+    is reused as the coarse solve of the cell whose N is twice that cell's.
     """
     _check_mode(mode)
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     filled = with_constants(spec)
+    specs = [_sweep_spec(filled, sweep_param, value) for value in sweep_values]
+    regimes = [derive_regime(row_spec) for row_spec in specs]
+    keys = [(r.theta1, r.theta2, s.epsilon) for s, r in zip(specs, regimes)] + [None]
+    cells = [((n, False), (n, True) if mode == "bisect" else (2 * n, False)) for n in n_values]
     errors = np.empty((len(sweep_values), len(n_values)))
-    for j, value in enumerate(sweep_values):
-        row_spec = _sweep_spec(filled, sweep_param, value)
-        errors[j], failures = _row_errors(row_spec, derive_regime(row_spec), family, n_values, mode)
+    for j, (value, row_spec, regime) in enumerate(zip(sweep_values, specs, regimes)):
+        if j == 0 or keys[j] != keys[j - 1]:
+            built = None  # the previous rows' meshes go before this row's are built
+            built = _row_meshes(row_spec, regime, family, cells, keys[j] == keys[j + 1])
+        errors[j], failures = _row_errors(row_spec, cells, *built, mode)
         for k in sorted(failures):
             _warn_cell(family, sweep_param, value, n_values[k], failures[k])
     return ConvergenceTable(

@@ -12,12 +12,15 @@ The first and last rows are the boundary conditions, identity rows with no
 couplings, so systems on several meshes laid end to end are one
 tridiagonal system whose blocks do not interact: a sweep row's systems are
 assembled and solved that way, as one chain.
+
+Assembly composes a stencil, every term but the convection term mu*a/h,
+and the system for one mu; a ``_Chain`` keeps its stencil between calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +80,12 @@ class MMatrixReport:
     worst_margin: float  # rowwise-relative dominance margin at worst_row
 
 
+class _Chain(tuple):
+    """Meshes laid end to end that keep the last stencil ``assemble`` built for them."""
+
+    stencil = None  # (the spec with mu set to 1, the stencil's arrays)
+
+
 def assemble(spec: ProblemSpec, mesh: Mesh | Sequence[Mesh]) -> TridiagonalSystem:
     """Assemble the discrete system on ``mesh``.
 
@@ -97,80 +106,88 @@ def assemble(spec: ProblemSpec, mesh: Mesh | Sequence[Mesh]) -> TridiagonalSyste
                 f"mesh interface node x_{m} = {float(each.points[m])!r} does not match "
                 f"problem discontinuity d = {spec.d!r}"
             )
-    return _assemble(spec, meshes)
-
-
-def _side_rows(meshes: list[Mesh], starts, left: bool) -> tuple:
-    """Each block's interior rows on one side of d: where x_i, h_i and h_{i+1} are.
-
-    Slices for one mesh, so that the side's arrays are views; for a chain,
-    masks over its rows and over its steps.
-    """
-    spans = [(start + 1, start + mesh.n // 2) if left else (start + mesh.n // 2 + 1, start + mesh.n)
-             for mesh, start in zip(meshes, starts)]
-    if len(spans) == 1:
-        (lo, hi), = spans
-        return slice(lo, hi), slice(lo - 1, hi - 1), slice(lo, hi)
-    rows = np.zeros(starts[-1] + meshes[-1].n + 1, dtype=bool)
-    for lo, hi in spans:
-        rows[lo:hi] = True
-    return rows, rows[1:], rows[:-1]
+    chain = mesh if isinstance(mesh, _Chain) else _Chain(meshes)
+    # before the stencil, so that a stencil not kept leaves no hole below it
+    out = np.empty((3, sum(each.n + 1 for each in meshes)))
+    key = replace(spec, mu=1.0)  # a stencil serves every spec that differs from its own in mu
+    if chain.stencil is None or chain.stencil[0] != key:
+        chain.stencil = key, _stencil(spec, meshes)
+    return _system(spec.mu, out, *chain.stencil[1])
 
 
 # entries that leave the float range are named by _check_finite, not warned about
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _assemble(spec: ProblemSpec, meshes: list[Mesh]) -> TridiagonalSystem:
+def _stencil(spec: ProblemSpec, meshes: Sequence[Mesh]) -> tuple:
+    """The mu-free part of the chain's rows: p, -q, b, a, the convection step, rhs and sides.
+
+    Row i left (right) of d: p = eps/(h_i hbar_i), q = eps/(h_{i+1} hbar_i),
+    and step h_i (h_{i+1}); interface row: p = 1/h_{m-1}, q = 1/h_m, a = b = 0.
+    """
     sizes = [mesh.n + 1 for mesh in meshes]
     starts = np.cumsum([0] + sizes[:-1])
-    x = meshes[0].points if len(meshes) == 1 else np.concatenate([m.points for m in meshes])
-    h = np.diff(x)  # h[k] = x_{k+1} - x_k; only steps within a block are used
-    eps, mu = spec.epsilon, spec.mu
-
-    lower, diag, upper, rhs = np.empty((4, sum(sizes)))  # every row is written below
-
-    def interior(a, f, forward: bool) -> None:
-        # one side's rows, in a call of its own so that its temporaries are
-        # freed before the other side's are made
-        rows, before, after = _side_rows(meshes, starts, left=not forward)
-        xs = x[rows]
-        hi, hip = h[before], h[after]  # h_i and h_{i+1}
-        hbar = hi + hip
-        hbar *= 0.5
-        p = hi * hbar
-        q = np.multiply(hip, hbar, out=hbar)
-        np.divide(eps, p, out=p)  # diffusion towards x_{i-1}
-        np.divide(eps, q, out=q)  # and towards x_{i+1}
-        if forward:  # right of d: convection by the forward difference
-            c = mu * evaluate_array(a, xs) / hip
-            lower[rows] = -p
-            diag[rows] = p + q + c + evaluate_array(spec.b, xs)
-            upper[rows] = -(q + c)
-        else:  # left of d: by the backward difference
-            c = mu * evaluate_array(a, xs) / hi
-            lower[rows] = c - p
-            diag[rows] = p + q - c + evaluate_array(spec.b, xs)
-            upper[rows] = -q
-        rhs[rows] = -evaluate_array(f, xs)
-
-    interior(spec.a_left, spec.f_left, forward=False)
-    interior(spec.a_right, spec.f_right, forward=True)
-
-    # interface: backward difference equals forward difference at d
-    m = starts + [mesh.n // 2 for mesh in meshes]
-    lower[m] = -1.0 / h[m - 1]
-    diag[m] = 1.0 / h[m - 1] + 1.0 / h[m]
-    upper[m] = -1.0 / h[m]
-
     ends = starts + sizes - 1
-    lower[starts] = upper[starts] = lower[ends] = upper[ends] = rhs[m] = 0.0
-    diag[starts] = diag[ends] = 1.0
-    rhs[starts] = spec.y0
-    rhs[ends] = spec.y1
+    m = starts + [mesh.n // 2 for mesh in meshes]
+    rhs, left = np.empty(ends[-1] + 1), np.zeros(ends[-1] + 1, dtype=bool)
+    # one block but rhs, which systems keep: a stencil used once is freed in one
+    # piece for the solve to reuse (a sweep job's page faults: 5000 -> 700, glibc)
+    p, nq, b, a, step = np.zeros((5, rhs.size))
+    step[starts] = 1.0  # step is h_i, the backward step, at row i of each block
+    for mesh, s, e in zip(meshes, starts, ends):
+        np.subtract(mesh.points[1:], mesh.points[:-1], out=step[s + 1:e + 1])
+    h = step[1:]  # h[k] = h_{k+1}; only steps within a block are used
+    hbar = np.add(h[:-1], h[1:], out=p[1:-1])
+    hbar *= 0.5
+    np.multiply(h[1:], hbar, out=nq[1:-1])
+    np.multiply(h[:-1], hbar, out=p[1:-1])
+    np.divide(spec.epsilon, p[1:-1], out=p[1:-1])
+    np.divide(-spec.epsilon, nq[1:-1], out=nq[1:-1])  # -q: exactly, as rounding is symmetric
+    p[m] = 1.0 / h[m - 1]
+    nq[m] = -1.0 / h[m]
+    for right, coefficient, f in ((0, spec.a_left, spec.f_left), (1, spec.a_right, spec.f_right)):
+        rows = [slice(s + 1 + right * mesh.n // 2, s + (mesh.n if right else mesh.n // 2))
+                for mesh, s in zip(meshes, starts)]
+        for r in rows:
+            left[r] = not right
+            if right:  # right of d the convection step is the forward one, h_{i+1}
+                step[r] = step[r.start + 1:r.stop + 1]
+        xs = np.concatenate([mesh.points[r.start - s:r.stop - s]
+                             for mesh, r, s in zip(meshes, rows, starts)])
+        bounds = np.cumsum([0] + [r.stop - r.start for r in rows])
+        for target, expression in ((a, coefficient), (b, spec.b), (rhs, f)):
+            value = evaluate_array(expression, xs)
+            for r, lo, hi in zip(rows, bounds, bounds[1:]):
+                target[r] = value[lo:hi]
+    np.negative(rhs, out=rhs)
+    rhs[starts], rhs[ends], rhs[m] = spec.y0, spec.y1, 0.0
+    rhs.setflags(write=False)  # shared by every system assembled from the stencil
+    return p, nq, b, a, step, rhs, left, starts, ends
 
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _system(mu: float, out, p, nq, b, a, step, rhs, left, starts, ends) -> TridiagonalSystem:
+    """The system for ``mu`` in ``out``: the stencil plus each row's c = mu*a/step.
+
+    c is cl left of d and cr right of it, each exactly zero off its side, which
+    changes no sum: the entries are bitwise each side's own formula.
+    """
+    lower, diag, upper = out
+    c = np.multiply(mu, a, out=upper)  # c, then cr, then upper
+    c /= step
+    lower.fill(0.0)
+    np.copyto(lower, c, where=left)  # cl, then lower
+    np.copyto(c, 0.0, where=left)
+    np.subtract(p, nq, out=diag)  # p + q
+    diag -= lower
+    diag += c
+    diag += b
+    np.subtract(lower, p, out=lower)
+    np.subtract(nq, c, out=upper)  # -(q + cr)
+    lower[starts] = upper[starts] = lower[ends] = upper[ends] = 0.0
+    diag[starts] = diag[ends] = 1.0
     _check_finite(lower=lower, diag=diag, upper=upper)  # rhs holds f (checked) and y0, y1
-    for array in (lower, diag, upper, rhs):
+    for array in (lower, diag, upper):
         array.setflags(write=False)  # the system takes them without a copy
-    return TridiagonalSystem(lower, diag, upper, rhs, sum(sizes) - 1)
+    return TridiagonalSystem(lower, diag, upper, rhs, rhs.size - 1)
 
 
 def _check_finite(**arrays: np.ndarray) -> None:

@@ -14,6 +14,7 @@ _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 50
 _TICKS = 5
+_HALF_MAX = math.nextafter(math.inf, 0.0) / 2  # the largest half whose double is finite
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -49,8 +50,9 @@ def polyline_plot(
     # same, and the span of two finite halves cannot overflow
     x_lo, x_hi = min(xs) / 2, max(xs) / 2
     y_lo, y_hi = min(ys) / 2, max(ys) / 2
-    if y_hi == y_lo:  # flat series still needs a visible axis span
-        y_lo, y_hi = y_lo - 0.25, y_hi + 0.25
+    if y_hi == y_lo:  # flat series still needs a visible axis span, of at least 4 ulps
+        pad = max(0.25, abs(y_lo) * 2.0**-50)
+        y_lo, y_hi = max(y_lo - pad, -_HALF_MAX), min(y_hi + pad, _HALF_MAX)
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 

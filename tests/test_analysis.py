@@ -418,6 +418,78 @@ def test_zero_pivot_fails_only_its_cells(monkeypatch):
     ]
 
 
+def _one_row_tables(spec, mu_values, n_values, family=MeshFamily.SHISHKIN_BAKHVALOV,
+                    mode="bisect"):
+    return np.vstack([convergence_table(spec, "mu", [mu], n_values, family, mode).errors
+                      for mu in mu_values])
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+@pytest.mark.parametrize("mode", analysis.DOUBLE_MESH_MODES)
+@pytest.mark.parametrize("family", list(MeshFamily))
+def test_rows_sharing_meshes_are_bitwise_the_rows_alone(example, mode, family):
+    # in Case 1 the widths do not depend on mu: these rows share their
+    # meshes and the mu-free part of their chain, and lose no bit by it
+    spec = builtin_example(example, epsilon=1e-6, mu=1e-4)
+    mu_values, n_values = [1e-4, 1e-6, 1e-8, 1e-10], (64, 128, 256)
+    table = convergence_table(spec, "mu", mu_values, n_values, family, mode)
+    alone = _one_row_tables(spec, mu_values, n_values, family, mode)
+    assert table.errors.tobytes() == alone.tobytes()
+    assert np.all(np.isfinite(table.errors))
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(analysis, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, counting)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
+@pytest.mark.parametrize("mu_values, runs", [
+    ([10.0**-k for k in range(1, 9)], 4),  # three Case 2 rows, then Case 1 from mu = 1e-4
+    ([1e-8, 1e-1, 1e-9], 3),  # the third row's key is not the second's: it builds again
+])
+def test_rows_share_meshes_only_while_the_widths_hold(monkeypatch, mu_values, runs):
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-4)
+    n_values = (64, 128, 256)
+    calls = _count_calls(monkeypatch, "build_mesh", "refine_double")
+    table = convergence_table(spec, "mu", mu_values, n_values)
+    assert calls == {"build_mesh": runs * 3, "refine_double": runs * 3}
+    assert table.errors.tobytes() == _one_row_tables(spec, mu_values, n_values).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
+def test_meshes_are_built_once_per_run_of_rows(monkeypatch):
+    spec = builtin_example("ex2", epsilon=3.7e-6, mu=1e-4)
+    n_values = (64, 128, 256)
+    calls = _count_calls(monkeypatch, "build_mesh", "refine_double")
+    convergence_table(spec, "mu", [10.0**-k for k in range(4, 12)], n_values)  # all in Case 1
+    assert calls == {"build_mesh": 3, "refine_double": 3}
+    calls.update(build_mesh=0, refine_double=0)
+    convergence_table(spec, "epsilon", [10.0**-k for k in range(4, 9)], n_values)
+    assert calls == {"build_mesh": 5 * 3, "refine_double": 5 * 3}
+
+
+def test_zero_pivot_in_a_shared_row_fails_only_that_row(monkeypatch):
+    # the middle row of a shared run fails in every system; the next row
+    # still assembles from the run's stencil, and its cells are untouched
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-4)
+    args = (spec, "mu", [1e-4, 1e-6, 1e-8], (64, 128, 256))
+    clean = convergence_table(*args)
+    _zero_pivot(monkeypatch, 5, lambda spec, mesh: spec.mu == 1e-6)
+    with pytest.warns(SweepCellWarning):
+        table = convergence_table(*args)
+    assert np.isnan(table.errors).tolist() == [[False] * 3, [True] * 3, [False] * 3]
+    assert table.errors[[0, 2]].tobytes() == clean.errors[[0, 2]].tobytes()
+
+
 def test_table_samples_the_coefficients_once(monkeypatch):
     import splayer.problem as problem
 

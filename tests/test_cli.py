@@ -17,6 +17,7 @@ import splayer
 import splayer.cli as cli
 from splayer.cli import _build_parser, build_config, main, write_atomic
 from splayer.mesh import MeshFamily
+from splayer.svg import polyline_plot
 
 
 def run(args, cwd):
@@ -513,6 +514,39 @@ def test_readme_plot_is_unchanged(tmp_path):
     assert run(argv, tmp_path) == 0
     digest = hashlib.sha256((tmp_path / "solution.svg").read_bytes()).hexdigest()
     assert digest == "7c97dba558b338007465a035085c07fd052fd606dfe63844053f251b35c5dd60"
+
+
+@pytest.mark.parametrize("value", [1e20, -1e20, 2.0**53, 1.7976931348623157e308,
+                                   -1.7976931348623157e308])
+def test_flat_plot_of_large_values_keeps_an_axis_span(value):
+    # a pad of 0.25 is below the float spacing once |y| passes 2^53, so the
+    # span of a flat series stayed 0 and the map divided by it
+    svg = polyline_plot([0.0, 1.0], [value, value])
+    assert "nan" not in svg and "inf" not in svg
+    ys = [float(pair.split(",")[1]) for pair in re.search(r'points="([^"]*)"', svg)[1].split()]
+    assert ys[0] == ys[1] and 40.0 <= ys[0] <= 430.0
+
+
+_CLAMPED = "TransitionClampWarning: transition widths clamped to quarter regions ({}); " \
+    "the layers are resolvable by a uniform mesh at n = {}"
+
+
+def test_clamped_compare_names_each_clamp_once_in_order(tmp_path):
+    # Python's default display shows each warning text once, at its first
+    # appearance; rows that share their meshes build them, and warn, once
+    src = str(Path(splayer.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    done = subprocess.run(
+        [sys.executable, "-m", "splayer.cli", "compare", "--problem", "ex1", "--epsilon", "1e-3",
+         "--mu-range", "1e-1:1e-8", "--n", "16:2048", "--double-mesh", "regenerate"],
+        cwd=tmp_path, env=dict(env, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    every = "sigma1, sigma2, sigma3, sigma4"
+    clamps = [("sigma1, sigma4", 16)] + [(every, 32 << k) for k in range(8)] + [(every, 16)]
+    source = "  return _layer_adapted_mesh(family, regime, n, d)"
+    expected = [line for clamp in clamps for line in (_CLAMPED.format(*clamp), source)]
+    assert [re.sub(r"^.*mesh\.py:\d+: ", "", line) for line in done.stderr.splitlines()] == expected
 
 
 def test_importing_the_cli_does_not_load_scipy():

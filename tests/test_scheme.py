@@ -227,3 +227,25 @@ def test_chain_interface_mismatch_names_the_mesh_node():
     meshes = [uniform_mesh(16, spec.d), uniform_mesh(32, 0.25)]
     with pytest.raises(ValueError, match=r"mesh interface node x_16 = 0\.25 does not match"):
         assemble(spec, meshes)
+
+
+def test_chain_keeps_its_stencil_only_for_another_mu(monkeypatch):
+    import splayer.scheme as scheme
+
+    spec = builtin_example("ex2", epsilon=1e-6, mu=1e-4)
+    regime = derive_regime(spec, samples=400)
+    meshes = [shishkin_bakhvalov_mesh(regime, n, spec.d) for n in (64, 128)]
+    meshes.append(refine_double(meshes[-1]))
+    specs = [spec, replace(spec, mu=1e-8), replace(spec, epsilon=1e-8),
+             replace(spec, epsilon=1e-8, mu=1e-12)]
+    expected = [assemble(each, meshes) for each in specs]
+    builds = []
+    real = scheme._stencil
+    monkeypatch.setattr(scheme, "_stencil", lambda *args: builds.append(args) or real(*args))
+    chain = scheme._Chain(meshes)
+    for each, system in zip(specs, expected):
+        kept = assemble(each, chain)
+        for name in ("lower", "diag", "upper", "rhs"):
+            assert getattr(kept, name).tobytes() == getattr(system, name).tobytes(), name
+    # a new mu reuses the stencil; a new epsilon builds another
+    assert [args[0].epsilon for args in builds] == [1e-6, 1e-8]
