@@ -7,9 +7,9 @@ over decades of mu or epsilon reproduce the usual error/order tables, one
 table per mesh family, and a manufactured-solution harness measures true
 nodal errors against a caller-supplied exact solution.
 
-The coefficient constants behind the layer widths are sampled once per
-table, by ``problem.with_constants``: the problem spec then carries them,
-and so does every row spec made from it by ``dataclasses.replace``.
+The coefficient constants behind the layer widths come from at most one
+``problem.validate`` pass per table (see ``problem.with_constants``): the
+filled spec carries them, and so does every row spec made from it.
 
 A sweep table is computed row by row: each distinct mesh of a row is
 built once, or once for rows with the same widths and epsilon (a mu sweep
@@ -250,9 +250,10 @@ def convergence_table(
 ) -> ConvergenceTable:
     """Fill the error/order grid for one mesh family.
 
-    The coefficients are sampled once for the table, and not at all when
-    ``spec`` already holds the four constants (see
-    :func:`~splayer.problem.with_constants`), and the cells are computed
+    The coefficients are validated and sampled once for the table, and not
+    at all when ``spec`` already holds the four constants (see
+    :func:`~splayer.problem.with_constants`); a spec that breaks a sign
+    hypothesis raises ``ValueError`` before any cell.  The cells are computed
     row by row, each row's systems in chains, rows with the same widths and
     epsilon on the same meshes (see ``_row_meshes``).  Cell failures are
     recorded as NaN, each named by a :class:`SweepCellWarning` in row-major
@@ -313,7 +314,8 @@ def manufactured_convergence(
     symbolically), and the boundary values are taken from the exact
     solution.  Errors are max nodal errors, not double-mesh estimates.
     Only f changes, so the forced problem keeps the constants ``spec``
-    carries, and is sampled only for those it lacks.
+    carries; one that lacks some goes through
+    :func:`~splayer.problem.validate` first.
     """
     n_values = tuple(int(n) for n in n_values)
     y0, y1 = evaluate_array(exact, [0.0, 1.0]).tolist()

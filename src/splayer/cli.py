@@ -23,15 +23,7 @@ from typing import Iterable, Iterator
 from . import analysis
 from .expressions import ExpressionSyntaxError, parse
 from .mesh import MeshFamily, build_mesh, node_regions
-from .problem import (
-    DEFAULT_SAMPLES,
-    ProblemSpec,
-    builtin_example,
-    derive_regime,
-    load_problem,
-    validate,
-    with_constants,
-)
+from .problem import ProblemSpec, builtin_example, derive_regime, load_problem, validate
 from .svg import polyline_plot
 
 __all__ = ["main", "CLIError", "RunConfig"]
@@ -63,9 +55,6 @@ _CSV_CHUNK = 4096
 # ~2^12 rows, but below 2^16 it saves under ~20 ms and a busy host turns
 # that into a loss
 _FORK_ROWS = 1 << 16
-
-# largest --samples: 100 times the default, two sampling grids of 8 MB each
-_MAX_SAMPLES = 1_000_000
 
 
 class CLIError(Exception):
@@ -204,8 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if mesh:
             p.add_argument("--mesh", default="sb", choices=sorted(_FAMILIES),
                            help="mesh family (default sb)")
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                       help="coefficient sampling resolution per subinterval")
         p.add_argument("--output", default=None, help="output file path")
         if sweep:
             p.add_argument("--epsilon", default=None, help="fixed diffusion parameter")
@@ -326,14 +313,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     output = Path(args.output) if args.output else Path(f"{_DEFAULT_OUTPUT[args.subcommand]}.{fmt}")
     _check_output(output)
 
-    if not 2 <= args.samples <= _MAX_SAMPLES:
-        raise CLIError(f"--samples must lie in [2, {_MAX_SAMPLES}], got {args.samples}")
-    violations = validate(spec, args.samples)
-    if violations:
-        details = "\n  ".join(violations)
-        raise CLIError(f"problem data violates the sign hypotheses:\n  {details}")
     try:
-        spec = with_constants(spec, args.samples)  # every later step reads them from spec
+        spec = validate(spec)  # the one sampling pass; later steps read the constants from spec
     except ValueError as err:
         raise CLIError(str(err)) from err
 

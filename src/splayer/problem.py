@@ -6,14 +6,15 @@ The continuous problem lives on (0, 1) with Dirichlet values at both ends:
 
 where ``a`` and ``f`` are given one-sidedly about an interior point ``d``
 and may jump there, ``a < 0`` left of ``d``, ``a > 0`` right of it, and
-``b > 0`` throughout.  This module validates those sign hypotheses by
+``b > 0`` throughout.  This module checks those sign hypotheses by
 sampling and derives the constants that control the layer widths.
 
 The constants alpha1, alpha2, rho and gamma depend on the coefficients
-only, so a problem carries them in ``ProblemSpec.overrides``:
-:func:`with_constants` fills in, from one sampling pass, those the user
-did not give, and a filled spec is never sampled again, whatever epsilon
-and mu it is later given.
+only, so a problem carries them in ``ProblemSpec.overrides``.  One pass,
+:func:`validate`, samples the coefficients on a fixed grid, checks every
+hypothesis and fills in, from the same samples, the constants the user did
+not give; :func:`with_constants` returns a filled spec as it is, so it is
+never sampled again, whatever epsilon and mu it is later given.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ __all__ = [
     "builtin_example",
     "problem_from_dict",
     "load_problem",
-    "DEFAULT_SAMPLES",
 ]
 
-DEFAULT_SAMPLES = 10_000
+# sample points per subinterval in validate()
+_SAMPLES = 10_000
 
 # Coefficients are defined one-sidedly at 0, d, and 1; sampling backs off
 # from those points by this fraction of the subinterval length.
-ENDPOINT_OFFSET = 1.0e-12
+_ENDPOINT_OFFSET = 1.0e-12
 
 OVERRIDE_KEYS = ("alpha1", "alpha2", "rho", "gamma")
 
@@ -108,100 +109,69 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class RegimeData:
-    """Constants derived from the coefficients and perturbation parameters.
+    """The layer regime at one (epsilon, mu); the constants it rests on are in the spec.
 
-    ``theta1`` controls the interface-layer width (reciprocal scale) and
-    ``theta2`` the boundary-layer width.
+    ``alpha = |min(alpha1, alpha2)|``; ``theta1`` controls the interface-layer
+    width (reciprocal scale) and ``theta2`` the boundary-layer width.
     """
 
-    alpha1: float
-    alpha2: float
     alpha: float
-    rho: float
-    gamma: float
     case: Case
     theta1: float
     theta2: float
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "alpha", "rho", "gamma", "theta1", "theta2"):
+        for name in ("alpha", "theta1", "theta2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _sample_grid(lo: float, hi: float, samples: int) -> np.ndarray:
-    offset = ENDPOINT_OFFSET * (hi - lo)
-    return np.linspace(lo + offset, hi - offset, samples)
+def _sample_grid(lo: float, hi: float) -> np.ndarray:
+    offset = _ENDPOINT_OFFSET * (hi - lo)
+    return np.linspace(lo + offset, hi - offset, _SAMPLES)
 
 
-def _grids(spec: ProblemSpec, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    return (
-        _sample_grid(0.0, spec.d, samples),
-        _sample_grid(spec.d, 1.0, samples),
-    )
+def _grids(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    return _sample_grid(0.0, spec.d), _sample_grid(spec.d, 1.0)
 
 
-def validate(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> list[str]:
-    """Check the sign hypotheses by sampling; returns violation messages.
+def validate(spec: ProblemSpec) -> ProblemSpec:
+    """Check the sign hypotheses by sampling; return ``spec`` with its four constants.
 
-    An empty list means the problem data is admissible.  Coefficient
-    evaluation failures are reported as violations rather than raised.
+    The coefficients are sampled once, at ``_SAMPLES`` points per
+    subinterval, even when ``spec`` gives all four constants: the sampling
+    is the check.  Constants not given come from the same samples.  Every
+    violation, including a coefficient that fails to evaluate, is listed in
+    one ``ValueError``; a derived constant that is not positive raises too.
     """
-    left, right = _grids(spec, samples)
+    left, right = _grids(spec)
     violations: list[str] = []
 
-    def sampled(fn, xs, name):
+    def sampled(fn, xs, name, sign=0, violation=""):
+        # fn at xs; a failure to evaluate, or a sample with sign * fn <= 0, is a violation
         try:
-            return evaluate_array(fn, xs)
+            values = evaluate_array(fn, xs)
         except EvaluationError as err:
             violations.append(f"{name} failed to evaluate: {err}")
             return None
+        if sign and (sign * values <= 0.0).any():
+            i = int(np.argmin(sign * values))
+            violations.append(violation.format(x=xs[i], v=values[i]))
+        return values
 
-    a_l = sampled(spec.a_left, left, "a_left")
-    if a_l is not None and (a_l >= 0.0).any():
-        i = int(np.argmax(a_l))
-        violations.append(
-            f"a not negative on (0, d): a({left[i]:.17g}) = {a_l[i]:.17g}"
-        )
-    a_r = sampled(spec.a_right, right, "a_right")
-    if a_r is not None and (a_r <= 0.0).any():
-        i = int(np.argmin(a_r))
-        violations.append(
-            f"a not positive on (d, 1): a({right[i]:.17g}) = {a_r[i]:.17g}"
-        )
-    for side, xs in (("left", left), ("right", right)):
-        b_vals = sampled(spec.b, xs, "b")
-        if b_vals is not None and (b_vals <= 0.0).any():
-            i = int(np.argmin(b_vals))
-            violations.append(
-                f"b not positive at x = {xs[i]:.17g}: b = {b_vals[i]:.17g}"
-            )
-    for name, fn in (("f_left", spec.f_left), ("f_right", spec.f_right)):
-        sampled(fn, left if name == "f_left" else right, name)
-    return violations
+    a_l = sampled(spec.a_left, left, "a_left", -1,
+                  "a not negative on (0, d): a({x:.17g}) = {v:.17g}")
+    a_r = sampled(spec.a_right, right, "a_right", 1,
+                  "a not positive on (d, 1): a({x:.17g}) = {v:.17g}")
+    b_l, b_r = (sampled(spec.b, xs, "b", 1, "b not positive at x = {x:.17g}: b = {v:.17g}")
+                for xs in (left, right))
+    sampled(spec.f_left, left, "f_left")
+    sampled(spec.f_right, right, "f_right")
+    if violations:
+        details = "\n  ".join(violations)
+        raise ValueError(f"problem data violates the sign hypotheses:\n  {details}")
 
-
-def with_constants(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> ProblemSpec:
-    """``spec`` with all four constants (alpha1, alpha2, rho, gamma) in ``overrides``.
-
-    Constants the user gave are kept; the others are sampled in one pass
-    over ``samples`` points per subinterval.  A spec that already holds all
-    four is returned as it is, without sampling, so a sweep that varies
-    epsilon or mu by :func:`dataclasses.replace` samples once.  The spec
-    must satisfy :func:`validate`; constants that come out non-positive
-    raise ``ValueError``.
-    """
-    given = dict(spec.overrides or {})
-    if len(given) == len(OVERRIDE_KEYS):  # the keys are checked by ProblemSpec
-        return spec
-    left, right = _grids(spec, samples)
-    a_l = evaluate_array(spec.a_left, left)
-    a_r = evaluate_array(spec.a_right, right)
-    b_l = evaluate_array(spec.b, left)
-    b_r = evaluate_array(spec.b, right)
     with np.errstate(divide="ignore"):
         ratios = np.concatenate([np.abs(b_l / a_l), np.abs(b_r / a_r)])
     constants = {
@@ -209,7 +179,7 @@ def with_constants(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> Problem
         "alpha2": float(np.min(a_r)),
         "rho": float(np.min(ratios)),
         "gamma": float(min(np.min(b_l), np.min(b_r))),
-        **given,
+        **(spec.overrides or {}),
     }
     for name, value in constants.items():
         if not (math.isfinite(value) and value > 0.0):
@@ -220,16 +190,26 @@ def with_constants(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> Problem
     return replace(spec, overrides=constants)
 
 
-def derive_regime(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> RegimeData:
+def with_constants(spec: ProblemSpec) -> ProblemSpec:
+    """``spec`` with all four constants (alpha1, alpha2, rho, gamma) in ``overrides``.
+
+    A spec that already holds all four (ProblemSpec checks the keys) is
+    returned as it is, unchecked, so a sweep that varies epsilon or mu by
+    :func:`dataclasses.replace` samples once; any other goes through :func:`validate`.
+    """
+    return spec if len(spec.overrides or {}) == len(OVERRIDE_KEYS) else validate(spec)
+
+
+def derive_regime(spec: ProblemSpec) -> RegimeData:
     """Derive the layer-regime constants of ``spec``.
 
     The coefficient constants come from :func:`with_constants`, so a spec
     that holds all four is not sampled; the case and the widths then follow
     from epsilon and mu in closed form.
     """
-    constants = with_constants(spec, samples).overrides
-    alpha1, alpha2, rho, gamma = (constants[key] for key in OVERRIDE_KEYS)
-    alpha = abs(min(alpha1, alpha2))
+    constants = with_constants(spec).overrides
+    alpha = abs(min(constants["alpha1"], constants["alpha2"]))
+    rho = constants["rho"]
     if math.sqrt(alpha) * spec.mu <= math.sqrt(rho * spec.epsilon):
         case = Case.ONE
         theta1 = theta2 = math.sqrt(rho * alpha) / (2.0 * math.sqrt(spec.epsilon))
@@ -237,16 +217,7 @@ def derive_regime(spec: ProblemSpec, samples: int = DEFAULT_SAMPLES) -> RegimeDa
         case = Case.TWO
         theta1 = alpha * spec.mu / (2.0 * spec.epsilon)
         theta2 = rho / (2.0 * spec.mu)
-    return RegimeData(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        alpha=alpha,
-        rho=rho,
-        gamma=gamma,
-        case=case,
-        theta1=theta1,
-        theta2=theta2,
-    )
+    return RegimeData(alpha=alpha, case=case, theta1=theta1, theta2=theta2)
 
 
 _BUILTINS = {

@@ -25,6 +25,16 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * (k / (_TICKS - 1)) for k in range(_TICKS)]
 
 
+def _span(values: Sequence[float]) -> tuple[float, float]:
+    # halved axis limits: halving is exact, so the plot is the same, and the span of
+    # two finite halves cannot overflow; a flat series gets a span of at least 4 ulps
+    lo, hi = min(values) / 2, max(values) / 2
+    if hi == lo:
+        pad = max(0.25, abs(lo) * 2.0**-50)
+        lo, hi = max(lo - pad, -_HALF_MAX), min(hi + pad, _HALF_MAX)
+    return lo, hi
+
+
 def _fmt(value: float) -> str:
     if value == 0.0:
         return "0"
@@ -46,13 +56,8 @@ def polyline_plot(
         raise ValueError("plot needs two sequences of equal length >= 2")
     if not all(math.isfinite(v) for v in list(xs) + list(ys)):
         raise ValueError("plot data must be finite")
-    # the axes work on halved values: halving is exact, so the plot is the
-    # same, and the span of two finite halves cannot overflow
-    x_lo, x_hi = min(xs) / 2, max(xs) / 2
-    y_lo, y_hi = min(ys) / 2, max(ys) / 2
-    if y_hi == y_lo:  # flat series still needs a visible axis span, of at least 4 ulps
-        pad = max(0.25, abs(y_lo) * 2.0**-50)
-        y_lo, y_hi = max(y_lo - pad, -_HALF_MAX), min(y_hi + pad, _HALF_MAX)
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span(ys)
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 

@@ -28,10 +28,7 @@ def draw_regimes(count: int, seed: int = 20240811):
             case = Case.TWO
             theta1 = alpha * mu / (2.0 * epsilon)
             theta2 = rho / (2.0 * mu)
-        regime = RegimeData(
-            alpha1=alpha1, alpha2=alpha2, alpha=alpha, rho=rho, gamma=gamma,
-            case=case, theta1=theta1, theta2=theta2,
-        )
+        regime = RegimeData(alpha=alpha, case=case, theta1=theta1, theta2=theta2)
         n = 8 * int(rng.integers(2, 65))  # 16 .. 512
         d = float(rng.uniform(0.15, 0.85))
         draws.append((regime, n, d))

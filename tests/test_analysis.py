@@ -252,7 +252,7 @@ def test_regenerate_reuse_matches_cell_by_cell(family, example, n_values):
         expected = np.empty((len(mu_values), len(n_values)))
         for j, mu in enumerate(mu_values):
             row_spec = builtin_example(example, epsilon=1e-6, mu=mu)
-            regime = derive_regime(row_spec, 400)
+            regime = derive_regime(row_spec)
             for k, n in enumerate(n_values):
                 mesh = build_mesh(family, regime, n, row_spec.d)
                 expected[j, k], _, _ = double_mesh_error(row_spec, mesh, mode)
@@ -337,7 +337,7 @@ def test_failed_fine_solve_is_not_reused(monkeypatch):
             spec, "mu", [1e-6], n_values, mode="regenerate"
         )
     # the 2N solve of N = 128 fails, and so does the coarse solve of N = 256
-    regime = derive_regime(spec, 400)
+    regime = derive_regime(spec)
     expected = []
     for n in n_values:
         mesh = build_mesh(MeshFamily.SHISHKIN_BAKHVALOV, regime, n, spec.d)
@@ -510,6 +510,14 @@ def test_table_samples_the_coefficients_once(monkeypatch):
     for mu in mu_values:
         row_spec = builtin_example("ex2", epsilon=1e-6, mu=mu)
         assert repr(derive_regime(replace(filled, mu=mu))) == repr(derive_regime(row_spec))
+
+
+def test_table_of_a_spec_that_breaks_a_hypothesis_raises_before_any_cell(monkeypatch):
+    # a raw spec is validated, not only sampled for its constants
+    monkeypatch.setattr(analysis, "assemble", lambda *args: pytest.fail("assembled"))
+    spec = replace(builtin_example("ex1", epsilon=1e-6, mu=1e-4), a_left=parse("1"))
+    with pytest.raises(ValueError, match=r"a not negative on \(0, d\)"):
+        convergence_table(spec, "mu", [1e-4, 1e-5], (64, 128))
 
 
 @pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")

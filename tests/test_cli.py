@@ -527,6 +527,15 @@ def test_flat_plot_of_large_values_keeps_an_axis_span(value):
     assert ys[0] == ys[1] and 40.0 <= ys[0] <= 430.0
 
 
+@pytest.mark.parametrize("value", [0.5, 0.0, 1e20, -1.7976931348623157e308])
+def test_zero_width_x_range_is_padded_like_a_flat_series(value):
+    # a zero-width x range gets the pad of a flat series, or the x map divides by 0
+    svg = polyline_plot([value, value], [1.0, 2.0])
+    assert "nan" not in svg and "inf" not in svg
+    xs = [float(pair.split(",")[0]) for pair in re.search(r'points="([^"]*)"', svg)[1].split()]
+    assert xs[0] == xs[1] and 70.0 <= xs[0] <= 740.0
+
+
 _CLAMPED = "TransitionClampWarning: transition widths clamped to quarter regions ({}); " \
     "the layers are resolvable by a uniform mesh at n = {}"
 
@@ -570,26 +579,15 @@ _EX1 = ["--problem", "ex1", "--epsilon", "1e-8"]
     ["manufactured", *_EX1, "--mu", "1e-6", "--n", "64:128", "--exact", "1+x",
      "--exact-d1", "1", "--exact-d2", "0"],
 ], ids=lambda argv: argv[0])
-def test_subcommand_samples_the_coefficients_twice(tmp_path, monkeypatch, argv):
+def test_subcommand_samples_the_coefficients_once(tmp_path, monkeypatch, argv):
     import splayer.problem as problem
 
     calls = []
     real = problem._grids
     monkeypatch.setattr(problem, "_grids", lambda *args: calls.append(args) or real(*args))
     assert run(argv, tmp_path) == 0
-    # validate samples once, and the constants once; the spec then carries them
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("samples", ["1", "1000000000"])
-def test_samples_outside_the_range_exit_2_before_sampling(tmp_path, capsys, monkeypatch, samples):
-    # 10^9 samples would allocate two 8 GB grids: the flag is refused first
-    import splayer.problem as problem
-
-    monkeypatch.setattr(problem, "_grids", lambda *args: pytest.fail("sampled"))
-    argv = ["solve", *_EX1, "--mu", "1e-6", "--n", "64", "--samples", samples]
-    _one_line_exit_2(capsys, argv, tmp_path, "--samples", str(cli._MAX_SAMPLES))
-    assert list(tmp_path.iterdir()) == []
+    # validate checks the signs and fills the constants in one pass; the spec then carries them
+    assert len(calls) == 1
 
 
 def test_failed_write_exits_2_and_keeps_the_old_target(tmp_path, capsys, monkeypatch):
@@ -632,3 +630,32 @@ def test_constant_that_underflows_exits_2(tmp_path, capsys):
                                 "b": "1e-300"}))
     argv = ["solve", "--problem", str(path), "--epsilon", "1e-6", "--mu", "1e-6", "--n", "64"]
     _one_line_exit_2(capsys, argv, tmp_path, "derived rho = 0.0 is not positive")
+
+
+_CONSTANTS = {"alpha1": 2.0, "alpha2": 2.0, "rho": 0.5, "gamma": 1.0}
+
+
+@pytest.mark.parametrize("doc, stderr", [
+    ({"a_left": "1", "a_right": "-1", "b": "-2", "f_left": "sqrt(x-0.3)"},
+     "splayer: problem data violates the sign hypotheses:\n"
+     "  a not negative on (0, d): a(4.9999999999999999e-13) = 1\n"
+     "  a not positive on (d, 1): a(0.50000000000050004) = -1\n"
+     "  b not positive at x = 4.9999999999999999e-13: b = -2\n"
+     "  b not positive at x = 0.50000000000050004: b = -2\n"
+     "  f_left failed to evaluate: expression is non-finite (nan) at x = 5e-13\n"),
+    ({"a_left": "1", "overrides": _CONSTANTS},
+     "splayer: problem data violates the sign hypotheses:\n"
+     "  a not negative on (0, d): a(4.9999999999999999e-13) = 1\n"),
+    ({"a_left": "-1e300", "a_right": "1e300", "b": "1e-300"},
+     "splayer: derived rho = 0.0 is not positive; the problem violates the sign "
+     "hypotheses (see validate())\n"),
+], ids=["every-hypothesis", "all-overrides", "rho-underflow"])
+def test_bad_problem_stderr_is_pinned(tmp_path, capsys, doc, stderr):
+    # the whole text is pinned: the four overrides do not skip the sign
+    # check, and every violation is listed, in order
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_EX1_DOC, **doc}))
+    argv = ["solve", "--problem", str(path), "--epsilon", "1e-6", "--mu", "1e-8", "--n", "64"]
+    assert run(argv, tmp_path) == 2
+    assert capsys.readouterr().err == stderr
+    assert list(tmp_path.iterdir()) == [path]

@@ -111,7 +111,7 @@ def test_small_solve_matches_the_reference_elimination(n):
 
 def test_assembled_system_residual():
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
-    regime = derive_regime(spec, samples=200)
+    regime = derive_regime(spec)
     mesh = shishkin_bakhvalov_mesh(regime, 16, spec.d)
     solution = solve_thomas(assemble(spec, mesh))
     assert solution.residual_inf <= 1e-10
@@ -178,7 +178,7 @@ def test_blocked_loop_is_bitwise_equal_on_assembled_systems(example, mu):
     # sizes, and the three chains differ in epsilon and mu
     for eps, scale in ((1e-8, 1.0), (1e-6, 10.0), (1e-10, 0.1)):
         spec = builtin_example(example, epsilon=eps, mu=mu * scale)
-        regime = derive_regime(spec, samples=200)
+        regime = derive_regime(spec)
         meshes = [shishkin_bakhvalov_mesh(regime, n, spec.d) for n in (64, 504, 4096)]
         singles = [assemble(spec, mesh) for mesh in meshes]
         chain = assemble(spec, meshes)
@@ -272,7 +272,7 @@ def test_solve_is_as_accurate_as_the_loop_against_extended_precision():
     cases.append(("ex1", 1e-8, 1e-6, 1 << 20))
     for example, epsilon, mu, n in cases:
         spec = builtin_example(example, epsilon=epsilon, mu=mu)
-        mesh = shishkin_bakhvalov_mesh(derive_regime(spec, samples=200), n, spec.d)
+        mesh = shishkin_bakhvalov_mesh(derive_regime(spec), n, spec.d)
         system = assemble(spec, mesh)
         reference = _longdouble_thomas(system)
         scale = np.max(np.abs(reference))
@@ -354,7 +354,7 @@ def test_oracle_matches_a_dense_solve_on_assembled_systems(example):
     # conditioned, and there the two differ by up to ~2e-11 at n = 1024
     for epsilon, mu in ((1e-6, 1e-4), (1e-6, 1e-10), (1e-8, 1e-5), (1e-8, 1e-14)):
         spec = builtin_example(example, epsilon=epsilon, mu=mu)
-        regime = derive_regime(spec, samples=200)
+        regime = derive_regime(spec)
         for n in (16, 128, 512):
             system = assemble(spec, shishkin_bakhvalov_mesh(regime, n, spec.d))
             dense = np.linalg.solve(_dense_matrix(system), system.rhs)

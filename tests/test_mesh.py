@@ -24,7 +24,7 @@ from splayer.mesh import node_regions
 
 
 def _regime(epsilon, mu, example="ex1"):
-    return derive_regime(builtin_example(example, epsilon=epsilon, mu=mu), samples=400)
+    return derive_regime(builtin_example(example, epsilon=epsilon, mu=mu))
 
 
 def test_transition_widths_case_one():
@@ -44,10 +44,7 @@ def test_transition_widths_case_two():
 def test_clamp_hits_quarter_width_exactly():
     ln64 = math.log(64)
     theta = 4.0 * ln64 / 0.5  # raw width equals d, forcing the d/4 clamp
-    regime = RegimeData(
-        alpha1=1.0, alpha2=1.0, alpha=1.0, rho=1.0, gamma=1.0,
-        case=Case.ONE, theta1=theta, theta2=theta,
-    )
+    regime = RegimeData(alpha=1.0, case=Case.ONE, theta1=theta, theta2=theta)
     with pytest.warns(TransitionClampWarning):
         s1, s2, s3, s4 = transition_points(regime, 64, 0.5)
     assert s1 == 0.125

@@ -21,40 +21,44 @@ from splayer.problem import with_constants
 
 
 def test_builtin_ex1_is_valid():
-    assert validate(builtin_example("ex1"), samples=200) == []
+    validate(builtin_example("ex1"))
 
 
 def test_builtin_ex2_is_valid():
-    assert validate(builtin_example("ex2"), samples=200) == []
+    validate(builtin_example("ex2"))
 
 
 def test_negative_b_reports_violation():
     spec = replace(builtin_example("ex1"), b=parse("-1"))
-    violations = validate(spec, samples=50)
-    assert any("b not positive at x" in v for v in violations)
+    with pytest.raises(ValueError, match="b not positive at x"):
+        validate(spec)
 
 
 def test_positive_a_left_reports_violation():
     spec = replace(builtin_example("ex1"), a_left=parse("1"))
-    violations = validate(spec, samples=50)
-    assert any("a not negative" in v for v in violations)
+    with pytest.raises(ValueError, match="a not negative"):
+        validate(spec)
 
 
 def test_negative_a_right_reports_violation():
     spec = replace(builtin_example("ex1"), a_right=parse("-1"))
-    violations = validate(spec, samples=50)
-    assert any("a not positive" in v for v in violations)
+    with pytest.raises(ValueError, match="a not positive"):
+        validate(spec)
 
 
 def test_evaluation_failure_is_a_violation_not_a_crash():
     spec = replace(builtin_example("ex1"), f_left=parse("sqrt(x-0.3)"))
-    violations = validate(spec, samples=50)
-    assert any("f_left failed to evaluate" in v for v in violations)
+    with pytest.raises(ValueError, match="f_left failed to evaluate"):
+        validate(spec)
 
 
-def test_validate_requires_two_samples():
-    with pytest.raises(ValueError):
-        validate(builtin_example("ex1"), samples=1)
+def test_validate_checks_a_spec_that_gives_every_constant():
+    # the four constants do not stand in for the sign check
+    constants = {"alpha1": 2.0, "alpha2": 2.0, "rho": 0.5, "gamma": 1.0}
+    spec = replace(builtin_example("ex1"), a_left=parse("1"), overrides=constants)
+    with pytest.raises(ValueError, match=r"a not negative on \(0, d\)"):
+        validate(spec)
+    assert validate(replace(spec, a_left=parse("-2"))).overrides == constants
 
 
 def test_constructor_invariants():
@@ -69,10 +73,11 @@ def test_constructor_invariants():
 
 def test_regime_case_one_constants():
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
-    regime = derive_regime(spec, samples=500)
+    regime = derive_regime(spec)
+    constants = with_constants(spec).overrides
     assert regime.alpha == pytest.approx(2.0, abs=0)
-    assert regime.rho == pytest.approx(0.5, abs=0)
-    assert regime.gamma == pytest.approx(1.0, abs=0)
+    assert constants["rho"] == pytest.approx(0.5, abs=0)
+    assert constants["gamma"] == pytest.approx(1.0, abs=0)
     assert regime.case is Case.ONE
     # sqrt(rho*alpha)/(2*sqrt(eps)) with rho*alpha = 1
     assert regime.theta1 == pytest.approx(500.0, rel=1e-15)
@@ -81,7 +86,7 @@ def test_regime_case_one_constants():
 
 def test_regime_case_two_constants():
     spec = builtin_example("ex1", epsilon=1e-12, mu=1e-4)
-    regime = derive_regime(spec, samples=500)
+    regime = derive_regime(spec)
     assert regime.case is Case.TWO
     # theta1 = alpha*mu/(2 eps); theta2 = rho/(2 mu)
     assert regime.theta1 == pytest.approx(1.0e8, rel=1e-15)
@@ -94,16 +99,12 @@ def test_constant_coefficients_are_sampled_exactly():
         f_left=parse("-1"), f_right=parse("1"),
         d=0.5, y0=0.0, y1=0.0, epsilon=1e-8, mu=1e-8,
     )
-    regime = derive_regime(spec, samples=321)
-    assert regime.alpha1 == 2.0
-    assert regime.alpha2 == 2.0
-    assert regime.rho == 1.0
-    assert regime.gamma == 2.0
+    assert with_constants(spec).overrides == {"alpha1": 2.0, "alpha2": 2.0, "rho": 1.0, "gamma": 2.0}
 
 
 def test_derive_regime_is_deterministic():
     spec = builtin_example("ex2", epsilon=1e-9, mu=1e-5)
-    assert derive_regime(spec, samples=400) == derive_regime(spec, samples=400)
+    assert derive_regime(spec) == derive_regime(spec)
 
 
 def test_case_boundary_survives_parameter_scaling():
@@ -116,16 +117,16 @@ def test_case_boundary_survives_parameter_scaling():
     )
     assert math.sqrt(base.epsilon) == base.mu
     scaled = replace(base, epsilon=base.epsilon * 4.0, mu=base.mu * 2.0)
-    assert derive_regime(base, samples=100).case is Case.ONE
-    assert derive_regime(scaled, samples=100).case is Case.ONE
+    assert derive_regime(base).case is Case.ONE
+    assert derive_regime(scaled).case is Case.ONE
 
 
 def test_overrides_take_precedence():
     spec = replace(builtin_example("ex1"), overrides={"rho": 0.25, "gamma": 0.5})
-    regime = derive_regime(spec, samples=100)
-    assert regime.rho == 0.25
-    assert regime.gamma == 0.5
-    assert regime.alpha1 == 2.0  # still sampled
+    constants = with_constants(spec).overrides
+    assert constants["rho"] == 0.25
+    assert constants["gamma"] == 0.5
+    assert constants["alpha1"] == 2.0  # still sampled
 
 
 def test_coefficients_must_be_expressions():
@@ -173,7 +174,7 @@ def test_problem_from_dict_round_trip():
     spec = problem_from_dict(dict(_DOC, overrides={"rho": 0.5}))
     assert spec.d == 0.5
     assert spec.overrides == {"rho": 0.5}
-    assert validate(spec, samples=50) == []
+    assert validate(spec).overrides["rho"] == 0.5
 
 
 def test_problem_from_dict_missing_and_unknown_keys():
@@ -211,7 +212,7 @@ def test_regime_from_bounds_is_the_sampled_regime(example, overrides, monkeypatc
     import splayer.problem as problem
 
     base = replace(builtin_example(example), overrides=overrides)
-    filled = with_constants(base, samples=300)
+    filled = with_constants(base)
     assert set(filled.overrides) == {"alpha1", "alpha2", "rho", "gamma"}
     assert {k: filled.overrides[k] for k in overrides or {}} == (overrides or {})
     calls = []
@@ -221,6 +222,6 @@ def test_regime_from_bounds_is_the_sampled_regime(example, overrides, monkeypatc
     for epsilon in (1e-2, 1e-8, 1e-14):
         for mu in (1.0, 1e-4, 1e-9, 1e-17):
             spec = replace(base, epsilon=epsilon, mu=mu)
-            sampled = derive_regime(spec, samples=300)
+            sampled = derive_regime(spec)
             assert repr(derive_regime(replace(filled, epsilon=epsilon, mu=mu))) == repr(sampled)
     assert len(calls) == 12  # the raw specs only

@@ -26,7 +26,7 @@ from splayer import (
 
 def _system(epsilon=1e-6, mu=1e-10, n=64, example="ex1"):
     spec = builtin_example(example, epsilon=epsilon, mu=mu)
-    regime = derive_regime(spec, samples=400)
+    regime = derive_regime(spec)
     mesh = shishkin_bakhvalov_mesh(regime, n, spec.d)
     return spec, mesh, assemble(spec, mesh)
 
@@ -80,7 +80,7 @@ def test_exact_on_constants_away_from_interface():
     c = 3.25
     spec = builtin_example("ex1", epsilon=1e-6, mu=1e-10)
     spec = replace(spec, f_left=parse(f"-{c}"), f_right=parse(f"-{c}"))
-    regime = derive_regime(spec, samples=200)
+    regime = derive_regime(spec)
     mesh = shishkin_bakhvalov_mesh(regime, 32, spec.d)
     system = assemble(spec, mesh)
     residual = apply_operator(system, np.full(system.n + 1, c)) - system.rhs
@@ -94,7 +94,7 @@ def test_minimum_principle_on_random_nonpositive_data():
     # rhs <= 0 rowwise must produce a nonpositive solution
     rng = np.random.default_rng(7)
     spec = builtin_example("ex1", epsilon=1e-8, mu=1e-6)
-    regime = derive_regime(spec, samples=200)
+    regime = derive_regime(spec)
     mesh = shishkin_bakhvalov_mesh(regime, 64, spec.d)
     for _ in range(25):
         f_left = float(rng.uniform(0.0, 5.0))
@@ -202,7 +202,7 @@ def test_chain_of_one_mesh_is_the_single_system():
 def test_chain_blocks_are_single_systems_without_couplings_between_them():
     # families, sizes and bisected meshes mixed in one chain
     spec = builtin_example("ex2", epsilon=1e-8, mu=1e-6)
-    regime = derive_regime(spec, samples=400)
+    regime = derive_regime(spec)
     meshes = []
     for family, n in zip(MeshFamily, (16, 64, 40)):
         mesh = build_mesh(family, regime, n, spec.d)
@@ -233,7 +233,7 @@ def test_chain_keeps_its_stencil_only_for_another_mu(monkeypatch):
     import splayer.scheme as scheme
 
     spec = builtin_example("ex2", epsilon=1e-6, mu=1e-4)
-    regime = derive_regime(spec, samples=400)
+    regime = derive_regime(spec)
     meshes = [shishkin_bakhvalov_mesh(regime, n, spec.d) for n in (64, 128)]
     meshes.append(refine_double(meshes[-1]))
     specs = [spec, replace(spec, mu=1e-8), replace(spec, epsilon=1e-8),
