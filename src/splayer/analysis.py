@@ -11,14 +11,17 @@ The coefficient constants behind the layer widths come from at most one
 ``problem.validate`` pass per table (see ``problem.with_constants``): the
 filled spec carries them, and so does every row spec made from it.
 
-A sweep table is computed row by row: each distinct mesh of a row is
-built once, or once for rows with the same widths and epsilon (a mu sweep
-in Case 1), and the row's systems are laid end to end and solved as one
-chain, at most ``_CHAIN_ROWS`` rows at a time (see ``scheme.assemble``).
+A sweep table is computed by mesh group, a run of consecutive rows with
+the same widths and epsilon (every row of a mu sweep in Case 1).  Each
+distinct mesh of a group is built once, and each row's systems are laid
+end to end and solved as chains of at most ``_CHAIN_ROWS`` rows (see
+``scheme.assemble``); a group that is one chain of several rows keeps the
+chain's mu-free stencil from row to row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -29,7 +32,7 @@ import numpy as np
 from .expressions import BinOp, Expression, Num, evaluate_array
 from .linalg import Solution, solve_thomas
 from .mesh import Mesh, MeshFamily, build_mesh, refine_double
-from .problem import ProblemSpec, RegimeData, derive_regime, with_constants
+from .problem import ProblemSpec, derive_regime, with_constants
 from .scheme import _Chain, assemble
 
 __all__ = [
@@ -151,71 +154,54 @@ def _solve_run(spec: ProblemSpec, meshes: list[Mesh]) -> list:
     return np.split(y, np.cumsum([mesh.n + 1 for mesh in meshes[:-1]]))
 
 
-def _runs(keys: list, meshes: dict) -> list[list]:
-    """Consecutive keys of ``meshes``, in order, in runs of at most ``_CHAIN_ROWS`` rows."""
-    runs = []
-    for key in keys:
-        if runs and sum(meshes[k].n + 1 for k in runs[-1]) + meshes[key].n + 1 <= _CHAIN_ROWS:
-            runs[-1].append(key)
-        else:  # a new run, which a mesh above the cap fills alone
-            runs.append([key])
-    return runs
+def _group_errors(rows: list, family: MeshFamily, cells: list, mode: str):
+    """Yield each row's double-mesh errors, and its failures: column -> exception.
 
-
-def _row_meshes(
-    spec: ProblemSpec, regime: RegimeData, family: MeshFamily, cells: list, shared: bool
-) -> tuple:
-    """Each distinct mesh of a row's cells, and the runs their systems are solved in.
-
-    The meshes are the mesh for each N, and its bisection or, in regenerate
-    mode, the mesh built for 2N, which is also the cell's own mesh where N
-    is that 2N, or the exception building it raised.  When the next row
-    shares them (``shared``) and the row is one run, that run is a
-    ``scheme._Chain``, which keeps its stencil for the next row.
+    ``rows`` are (spec, regime) pairs with the same widths and epsilon, so
+    they share their meshes: the mesh for each N, and its bisection or, in
+    regenerate mode, the mesh built for 2N, which is also the cell's own
+    mesh where N is that 2N.  Each distinct mesh is built once, or the
+    exception building it raised is kept, and the meshes are laid in runs
+    of at most ``_CHAIN_ROWS`` rows.  A group that is one run of several
+    rows solves it as a ``scheme._Chain``, which keeps its stencil from row
+    to row.  A cell fails with the first exception of its mesh, its solve,
+    its fine mesh and its fine solve, as ``double_mesh_error`` would raise.
     """
+    first, regime = rows[0]
     meshes = {}  # (n, bisected) -> Mesh, or the exception building it raised
     for key in dict.fromkeys(key for cell in cells for key in cell):
         n, bisected = key
         try:
             if not bisected:
-                meshes[key] = build_mesh(family, regime, n, spec.d)
+                meshes[key] = build_mesh(family, regime, n, first.d)
             else:  # the bisection of a mesh that failed fails with it
                 coarse = meshes[n, False]
                 meshes[key] = refine_double(coarse) if isinstance(coarse, Mesh) else coarse
         except _CELL_ERRORS as err:
             meshes[key] = err
-    runs = _runs([key for key, mesh in meshes.items() if isinstance(mesh, Mesh)], meshes)
-    kind = _Chain if shared and len(runs) == 1 else list
-    return meshes, [(run, kind(meshes[key] for key in run)) for run in runs]
-
-
-def _row_errors(spec: ProblemSpec, cells: list, meshes: dict, runs: list, mode: str) -> tuple:
-    """Double-mesh errors of one sweep row, and the exception of each failed cell.
-
-    The systems are solved run by run (``_solve_run``), each cell is computed
-    as soon as its values are, and values no later cell reads are dropped.  A cell
-    fails with the first exception of its mesh, its solve, its fine mesh and
-    its fine solve, as ``double_mesh_error`` would raise.  Failures map the
-    column to their exception.
-    """
-    runs = iter(runs)
-    values = {}  # nodal values, or the exception solving raised
-    errors = np.full(len(cells), math.nan)
-    failures = {}
-    for k, (coarse, fine) in enumerate(cells):
-        while any(isinstance(meshes[key], Mesh) and key not in values for key in (coarse, fine)):
-            keys, run = next(runs)
-            values.update(zip(keys, _solve_run(spec, run)))
-        steps = (meshes[coarse], values.get(coarse), meshes[fine], values.get(fine))
-        failure = next((step for step in steps if isinstance(step, Exception)), None)
-        if failure is not None:
-            failures[k] = failure
+    runs = []  # keys of the built meshes, in order; a mesh above the cap fills a run alone
+    for key in [key for key, mesh in meshes.items() if isinstance(mesh, Mesh)]:
+        if runs and sum(meshes[k].n + 1 for k in runs[-1]) + meshes[key].n + 1 <= _CHAIN_ROWS:
+            runs[-1].append(key)
         else:
-            errors[k] = _max_difference(meshes[coarse], values[coarse], meshes[fine],
-                                        values[fine], mode)
-        later = {key for cell in cells[k + 1:] for key in cell}
-        values = {key: y for key, y in values.items() if key in later}
-    return errors, failures
+            runs.append([key])
+    kind = _Chain if len(runs) == 1 and len(rows) > 1 else list
+    chains = [(keys, kind(meshes[key] for key in keys)) for keys in runs]
+    for spec, _ in rows:
+        values = {}  # nodal values, or the exception solving raised
+        for keys, chain in chains:
+            values.update(zip(keys, _solve_run(spec, chain)))
+        errors = np.full(len(cells), math.nan)
+        failures = {}
+        for k, (coarse, fine) in enumerate(cells):
+            steps = (meshes[coarse], values.get(coarse), meshes[fine], values.get(fine))
+            failure = next((step for step in steps if isinstance(step, Exception)), None)
+            if failure is not None:
+                failures[k] = failure
+            else:
+                errors[k] = _max_difference(meshes[coarse], values[coarse], meshes[fine],
+                                            values[fine], mode)
+        yield errors, failures
 
 
 def _orders_from_errors(errors: np.ndarray) -> np.ndarray:
@@ -250,30 +236,32 @@ def convergence_table(
 ) -> ConvergenceTable:
     """Fill the error/order grid for one mesh family.
 
-    The coefficients are validated and sampled once for the table, and not
-    at all when ``spec`` already holds the four constants (see
-    :func:`~splayer.problem.with_constants`); a spec that breaks a sign
-    hypothesis raises ``ValueError`` before any cell.  The cells are computed
-    row by row, each row's systems in chains, rows with the same widths and
-    epsilon on the same meshes (see ``_row_meshes``).  Cell failures are
-    recorded as NaN, each named by a :class:`SweepCellWarning` in row-major
-    order, and the sweep continues.  In regenerate mode a cell's fine solve
-    is reused as the coarse solve of the cell whose N is twice that cell's.
+    A spec that lacks some of the four constants is validated once for the
+    table (see :func:`~splayer.problem.with_constants`): one that breaks a
+    sign hypothesis raises ``ValueError`` before any cell.  A spec that holds
+    all four is trusted as it is and not checked; call
+    :func:`~splayer.problem.validate` on it first for the check.  The cells
+    are computed row by row, each row's systems in chains, and consecutive
+    rows with the same widths and epsilon form a mesh group that shares its
+    meshes (see ``_group_errors``).  Cell failures are recorded as NaN, each
+    named by a :class:`SweepCellWarning` in row-major order, and the sweep
+    continues.  In regenerate mode a cell's fine solve is reused as the
+    coarse solve of the cell whose N is twice that cell's.
     """
     _check_mode(mode)
     sweep_values = tuple(float(v) for v in sweep_values)
     n_values = tuple(int(n) for n in n_values)
     filled = with_constants(spec)
     specs = [_sweep_spec(filled, sweep_param, value) for value in sweep_values]
-    regimes = [derive_regime(row_spec) for row_spec in specs]
-    keys = [(r.theta1, r.theta2, s.epsilon) for s, r in zip(specs, regimes)] + [None]
+    rows = [(row_spec, derive_regime(row_spec)) for row_spec in specs]
+    groups = itertools.groupby(rows, key=lambda row: (row[1].theta1, row[1].theta2,
+                                                      row[0].epsilon))
     cells = [((n, False), (n, True) if mode == "bisect" else (2 * n, False)) for n in n_values]
     errors = np.empty((len(sweep_values), len(n_values)))
-    for j, (value, row_spec, regime) in enumerate(zip(sweep_values, specs, regimes)):
-        if j == 0 or keys[j] != keys[j - 1]:
-            built = None  # the previous rows' meshes go before this row's are built
-            built = _row_meshes(row_spec, regime, family, cells, keys[j] == keys[j + 1])
-        errors[j], failures = _row_errors(row_spec, cells, *built, mode)
+    group_rows = itertools.chain.from_iterable(
+        _group_errors(list(group), family, cells, mode) for _, group in groups)
+    for j, value in enumerate(sweep_values):
+        errors[j], failures = next(group_rows)
         for k in sorted(failures):
             _warn_cell(family, sweep_param, value, n_values[k], failures[k])
     return ConvergenceTable(

@@ -260,7 +260,6 @@ def _check_output(output: Path) -> None:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    sweeping = args.subcommand in ("converge", "compare")
     fmt = getattr(args, "format", "csv")
     plot = getattr(args, "plot", False)
     markers = getattr(args, "markers", False)
@@ -268,42 +267,27 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # compare has no --mesh: it always runs both layer-adapted families
     families = _COMPARED_FAMILIES if args.subcommand == "compare" else (_FAMILIES[args.mesh],)
 
-    if sweeping:
+    sweep_param, sweep_values = None, ()
+    if args.subcommand in ("converge", "compare"):
         if args.epsilon_range is not None and args.mu_range is not None:
             raise CLIError("sweep exactly one of --epsilon-range / --mu-range")
-        if args.mu_range is not None:
-            sweep_param = "mu"
-            sweep_values = _parse_decades(args.mu_range, "--mu-range")
-            epsilon = _scalar(args.epsilon, "--epsilon")
-            mu = sweep_values[0]
-        elif args.epsilon_range is not None:
-            sweep_param = "epsilon"
-            sweep_values = _parse_decades(args.epsilon_range, "--epsilon-range")
-            epsilon = sweep_values[0]
-            mu = _scalar(args.mu, "--mu")
-        else:
+        if args.epsilon_range is None and args.mu_range is None:
             raise CLIError("converge/compare need --epsilon-range or --mu-range")
-        n_values = _parse_n_values(args.n)
-        exact = None
-    elif args.subcommand == "manufactured":
-        epsilon = _scalar(args.epsilon, "--epsilon")
-        mu = _scalar(args.mu, "--mu")
-        sweep_param = None
-        sweep_values = ()
-        n_values = _parse_n_values(args.n)
+        sweep_param = "mu" if args.mu_range is not None else "epsilon"
+        sweep_values = _parse_decades(getattr(args, f"{sweep_param}_range"),
+                                      f"--{sweep_param}-range")
+    # the swept parameter starts at its range's first value
+    epsilon = sweep_values[0] if sweep_param == "epsilon" else _scalar(args.epsilon, "--epsilon")
+    mu = sweep_values[0] if sweep_param == "mu" else _scalar(args.mu, "--mu")
+    n_values = _parse_n_values(args.n)
+    if args.subcommand in ("solve", "mesh") and len(n_values) != 1:
+        raise CLIError(f"{args.subcommand} takes a single --n value")
+    exact = None
+    if args.subcommand == "manufactured":
         try:
             exact = (parse(args.exact), parse(args.exact_d1), parse(args.exact_d2))
         except ExpressionSyntaxError as err:
             raise CLIError(f"--exact*: {err}") from err
-    else:
-        epsilon = _scalar(args.epsilon, "--epsilon")
-        mu = _scalar(args.mu, "--mu")
-        sweep_param = None
-        sweep_values = ()
-        n_values = _parse_n_values(args.n)
-        if len(n_values) != 1:
-            raise CLIError(f"{args.subcommand} takes a single --n value")
-        exact = None
 
     try:
         spec = _load_spec(args.problem, epsilon, mu)

@@ -27,6 +27,7 @@ from splayer import (
     uniform_mesh,
 )
 from splayer import analysis
+from splayer.scheme import _Chain
 
 COMPARED = (MeshFamily.SHISHKIN, MeshFamily.SHISHKIN_BAKHVALOV)
 
@@ -418,24 +419,34 @@ def test_zero_pivot_fails_only_its_cells(monkeypatch):
     ]
 
 
-def _one_row_tables(spec, mu_values, n_values, family=MeshFamily.SHISHKIN_BAKHVALOV,
-                    mode="bisect"):
-    return np.vstack([convergence_table(spec, "mu", [mu], n_values, family, mode).errors
-                      for mu in mu_values])
+def _one_row_tables(spec, values, n_values, family=MeshFamily.SHISHKIN_BAKHVALOV,
+                    mode="bisect", param="mu"):
+    return np.vstack([convergence_table(spec, param, [value], n_values, family, mode).errors
+                      for value in values])
 
 
+@pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 @pytest.mark.parametrize("mode", analysis.DOUBLE_MESH_MODES)
 @pytest.mark.parametrize("family", list(MeshFamily))
-def test_rows_sharing_meshes_are_bitwise_the_rows_alone(example, mode, family):
-    # in Case 1 the widths do not depend on mu: these rows share their
-    # meshes and the mu-free part of their chain, and lose no bit by it
+def test_rows_sharing_meshes_are_bitwise_the_rows_alone(monkeypatch, example, mode, family):
+    # in Case 1 the widths do not depend on mu: the rows of the mu sweep are
+    # one mesh group, which shares its meshes and the mu-free part of its
+    # chain and loses no bit by it; in the epsilon sweep every group is one
+    # row, which keeps no stencil
     spec = builtin_example(example, epsilon=1e-6, mu=1e-4)
-    mu_values, n_values = [1e-4, 1e-6, 1e-8, 1e-10], (64, 128, 256)
-    table = convergence_table(spec, "mu", mu_values, n_values, family, mode)
-    alone = _one_row_tables(spec, mu_values, n_values, family, mode)
-    assert table.errors.tobytes() == alone.tobytes()
-    assert np.all(np.isfinite(table.errors))
+    values, n_values = [1e-4, 1e-6, 1e-8, 1e-10], (64, 128, 256)
+    kept = []
+    real = analysis.assemble
+    monkeypatch.setattr(analysis, "assemble", lambda spec, mesh: kept.append(
+        isinstance(mesh, _Chain)) or real(spec, mesh))
+    for param, keeps in (("mu", True), ("epsilon", False)):
+        kept.clear()
+        table = convergence_table(spec, param, values, n_values, family, mode)
+        assert kept == [keeps] * len(values)
+        alone = _one_row_tables(spec, values, n_values, family, mode, param)
+        assert table.errors.tobytes() == alone.tobytes()
+        assert np.all(np.isfinite(table.errors))
 
 
 def _count_calls(monkeypatch, *names):
@@ -488,6 +499,32 @@ def test_zero_pivot_in_a_shared_row_fails_only_that_row(monkeypatch):
         table = convergence_table(*args)
     assert np.isnan(table.errors).tolist() == [[False] * 3, [True] * 3, [False] * 3]
     assert table.errors[[0, 2]].tobytes() == clean.errors[[0, 2]].tobytes()
+
+
+def test_warnings_cross_the_group_boundary_in_row_major_order(monkeypatch):
+    # mu = 1e-3 is in Case 2 and a group of its own; the rows from 1e-4 are in
+    # Case 1 and one group.  A zero pivot in the first row and in the middle
+    # row of the second group fails only their cells at N = 64 and 128; their
+    # N = 256 cells are solved alone after the chain failed, so agree to rounding
+    spec = builtin_example("ex1", epsilon=1e-6, mu=1e-4)
+    mu_values, n_values = [1e-3, 1e-4, 1e-5, 1e-6], (64, 128, 256)
+    alone = _one_row_tables(spec, mu_values, n_values)
+    calls = _count_calls(monkeypatch, "build_mesh")
+    _zero_pivot(monkeypatch, 5, lambda spec, mesh: spec.mu in (1e-3, 1e-5)
+                and mesh.n in (64, 128))
+    with pytest.warns(SweepCellWarning) as caught:
+        table = convergence_table(spec, "mu", mu_values, n_values)
+    assert calls == {"build_mesh": 2 * len(n_values)}  # two groups
+    failed = np.isnan(table.errors)
+    assert failed.tolist() == [[True, True, False], [False] * 3, [True, True, False], [False] * 3]
+    assert table.errors[[1, 3]].tobytes() == alone[[1, 3]].tobytes()
+    assert_same_cells(table.errors[~failed], alone[~failed])
+    messages = [str(w.message) for w in caught if w.category is SweepCellWarning]
+    cause = f"PivotError: {PivotError(5, 0.0)}"
+    assert messages == [
+        f"shishkin-bakhvalov sweep cell mu = {mu!r}, N = {n} left empty: {cause}"
+        for mu in (1e-3, 1e-5) for n in (64, 128)
+    ]
 
 
 def test_table_samples_the_coefficients_once(monkeypatch):

@@ -165,7 +165,7 @@ def _assert_chain_is_single_solves(systems):
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 12293])
-def test_blocked_loop_is_bitwise_equal_on_random_systems(n):
+def test_blocked_loop_matches_single_solves_on_random_systems(n):
     rng = np.random.default_rng(n)
     _assert_chain_is_single_solves([_random_dominant_system(rng, n + k) for k in range(3)])
 
@@ -173,7 +173,7 @@ def test_blocked_loop_is_bitwise_equal_on_random_systems(n):
 @pytest.mark.filterwarnings("ignore::splayer.TransitionClampWarning")
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 @pytest.mark.parametrize("mu", [1e-4, 1e-17])
-def test_blocked_loop_is_bitwise_equal_on_assembled_systems(example, mu):
+def test_blocked_loop_matches_single_solves_on_assembled_systems(example, mu):
     # the chain's blocks are bitwise the single assemblies; each chain mixes
     # sizes, and the three chains differ in epsilon and mu
     for eps, scale in ((1e-8, 1.0), (1e-6, 10.0), (1e-10, 0.1)):
